@@ -31,6 +31,37 @@ fn tlb_ops(c: &mut Criterion) {
             black_box(t.insert(key(v), TlbEntry::new(PhysPage(v))))
         });
     });
+    // The IOMMU TLB geometry (4096 entries, 64-way): a miss scans a whole
+    // 64-way set, an eviction also picks the LRU way among 64. The TLB is
+    // built once, outside the timed closure, so samples run warm.
+    let mut iommu = Tlb::new(TlbConfig::new(4096, 64, ReplacementPolicy::Lru));
+    for v in 0..4096 {
+        iommu.insert(key(v), TlbEntry::new(PhysPage(v)));
+    }
+    let mut v = 0u64;
+    group.bench_function("lookup_miss_4096x64", |b| {
+        b.iter(|| {
+            v = (v + 17) % 4096;
+            black_box(iommu.lookup(key(v + (1 << 20))))
+        });
+    });
+    group.bench_function("insert_evict_4096x64", |b| {
+        b.iter(|| {
+            v += 1;
+            black_box(iommu.insert(key(v), TlbEntry::new(PhysPage(v))))
+        });
+    });
+    // The per-CU L1 TLB geometry (16 entries, fully associative).
+    let mut l1 = Tlb::new(TlbConfig::fully_associative(16, ReplacementPolicy::Lru));
+    for v in 0..16 {
+        l1.insert(key(v), TlbEntry::new(PhysPage(v)));
+    }
+    group.bench_function("lookup_hit_16fa", |b| {
+        b.iter(|| {
+            v = (v + 5) % 16;
+            black_box(l1.lookup(key(v)))
+        });
+    });
     group.finish();
 }
 

@@ -295,26 +295,37 @@ fn main() {
     cfg.obs.timeline_window = args.timeline_window;
     cfg.obs.profile = args.profile_json.is_some();
 
+    // Created before the run so a bad path fails fast, not after it.
+    let record_file = args.record_trace.as_ref().map(|path| {
+        File::create(path)
+            .unwrap_or_else(|e| usage_error(&format!("--record-trace {path}: cannot create: {e}")))
+    });
+
     let mut result = if let Some(path) = &args.replay_trace {
-        let file = File::open(path).expect("trace file opens");
-        let trace = TranslationTrace::read_from(BufReader::new(file)).expect("trace parses");
+        let file = File::open(path)
+            .unwrap_or_else(|e| usage_error(&format!("--replay-trace {path}: cannot open: {e}")));
+        let trace = TranslationTrace::read_from(BufReader::new(file))
+            .unwrap_or_else(|e| usage_error(&format!("--replay-trace {path}: bad trace: {e}")));
         eprintln!(
             "replaying {} recorded requests from {path} under policy '{}'",
             trace.len(),
             args.policy
         );
-        trace.replay(&cfg).expect("trace workload fits the system")
+        trace
+            .replay(&cfg)
+            .unwrap_or_else(|e| usage_error(&format!("--replay-trace {path}: {e}")))
     } else {
         let spec = resolve_workload(&args.workload, args.gpus);
         System::new(&cfg, &spec)
-            .expect("workload fits the system")
+            .unwrap_or_else(|e| usage_error(&format!("--workload {}: {e}", args.workload)))
             .run()
     };
 
-    if let Some(path) = &args.record_trace {
+    if let (Some(path), Some(file)) = (&args.record_trace, record_file) {
         let trace = result.trace.take().expect("trace was recorded");
-        let file = File::create(path).expect("trace file creates");
-        trace.write_to(BufWriter::new(file)).expect("trace writes");
+        trace
+            .write_to(BufWriter::new(file))
+            .unwrap_or_else(|e| usage_error(&format!("--record-trace {path}: cannot write: {e}")));
         eprintln!("recorded {} requests to {path}", trace.len());
     }
 

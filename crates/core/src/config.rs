@@ -280,6 +280,15 @@ pub enum BuildError {
     },
     /// Physical memory cannot hold the combined footprints.
     OutOfPhysicalMemory,
+    /// A replayed trace request names a GPU or ASID the system lacks.
+    TraceRequestOutOfRange {
+        /// 0-based index of the request in the trace.
+        request: usize,
+        /// The request's GPU.
+        gpu: u8,
+        /// The request's ASID.
+        asid: u16,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -300,6 +309,10 @@ impl fmt::Display for BuildError {
             BuildError::OutOfPhysicalMemory => {
                 write!(f, "physical memory too small for the combined footprints")
             }
+            BuildError::TraceRequestOutOfRange { request, gpu, asid } => write!(
+                f,
+                "trace request {request} names GPU {gpu} / ASID {asid}, outside the replayed system"
+            ),
         }
     }
 }

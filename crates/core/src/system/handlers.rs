@@ -7,7 +7,7 @@ use gcn_model::{MshrOutcome, Waiter};
 use iommu::WalkRequest;
 use mgpu_types::{CuId, Cycle, DetMap, GpuId, PhysPage, TranslationKey, WavefrontId};
 use obs::Resolution;
-use tlb::TlbEntry;
+use tlb::{Displaced, TlbEntry};
 
 use super::{Event, Inclusion, NetMsg, RingState, System};
 use crate::results::SnapshotRecord;
@@ -795,14 +795,11 @@ impl System {
         depth: u32,
     ) {
         let g = gpu.index();
-        if self.gpus[g].l2_tlb.probe(key).is_some() {
+        if let Some(e) = self.gpus[g].l2_tlb.refresh(key) {
             // Racing duplicate (e.g. a spill landed while a fill was in
             // flight): refresh in place, keep the tracker's single
             // registration.
-            self.gpus[g].l2_tlb.touch(key);
-            if let Some(e) = self.gpus[g].l2_tlb.probe_mut(key) {
-                e.spill_credits = e.spill_credits.max(credits);
-            }
+            e.spill_credits = e.spill_credits.max(credits);
             return;
         }
         if let Some(tracker) = &mut self.tracker {
@@ -880,16 +877,16 @@ impl System {
                 }
             }
         }
-        if let Some(old) = self.iommu.tlb.probe(key) {
-            // Re-insertion of a key already resident: retarget its origin.
-            let old_origin = old.origin;
-            self.iommu.count_remove(old_origin);
-        }
-        self.iommu.count_insert(origin);
         let entry = TlbEntry::new(frame)
             .with_origin(origin)
             .with_spill_credits(credits);
-        let Some((vk, ve)) = self.iommu.tlb.insert(key, entry) else {
+        let displaced = self.iommu.tlb.upsert(key, entry);
+        if let Displaced::Updated(old) = displaced {
+            // Re-insertion of a key already resident: retarget its origin.
+            self.iommu.count_remove(old.origin);
+        }
+        self.iommu.count_insert(origin);
+        let Displaced::Evicted(vk, ve) = displaced else {
             return;
         };
         self.iommu.count_remove(ve.origin);

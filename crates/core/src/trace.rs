@@ -56,21 +56,24 @@ impl TranslationTrace {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; malformed lines become
-    /// `io::ErrorKind::InvalidData`.
+    /// Propagates I/O errors; a malformed line becomes
+    /// `io::ErrorKind::InvalidData` naming its 1-based line number.
     pub fn read_from(r: impl BufRead) -> io::Result<Self> {
         let mut lines = r.lines();
         let header = lines
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty trace"))??;
-        let spec: WorkloadSpec = serde_json::from_str(&header)?;
+        let bad = |n: usize, e: serde_json::Error| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("line {n}: {e}"))
+        };
+        let spec: WorkloadSpec = serde_json::from_str(&header).map_err(|e| bad(1, e))?;
         let mut entries = Vec::new();
-        for line in lines {
+        for (i, line) in lines.enumerate() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            entries.push(serde_json::from_str(&line)?);
+            entries.push(serde_json::from_str(&line).map_err(|e| bad(i + 2, e))?);
         }
         Ok(TranslationTrace { spec, entries })
     }
@@ -83,12 +86,20 @@ impl TranslationTrace {
     /// # Errors
     ///
     /// Returns [`BuildError`] if `cfg` cannot host the trace's workload
-    /// spec.
+    /// spec, or a request names a GPU or ASID outside it.
     pub fn replay(&self, cfg: &SystemConfig) -> Result<RunResult, BuildError> {
         // sim-lint: allow(nondet, reason = "wall-clock telemetry only; never feeds simulation state or output ordering")
         let wall_start = std::time::Instant::now();
         let mut sys = System::new_scripted(cfg, &self.spec)?;
-        for e in &self.entries {
+        let apps = self.spec.placements.len();
+        for (request, e) in self.entries.iter().enumerate() {
+            if usize::from(e.gpu) >= cfg.gpus || usize::from(e.asid) >= apps {
+                return Err(BuildError::TraceRequestOutOfRange {
+                    request,
+                    gpu: e.gpu,
+                    asid: e.asid,
+                });
+            }
             sys.inject_translation(GpuId(e.gpu), Asid(e.asid), VirtPage(e.vpn), Cycle(e.cycle));
         }
         sys.drain();

@@ -139,10 +139,9 @@ impl Gpu {
     /// Does not perturb local hit-rate statistics; refreshes recency on hit.
     pub fn remote_probe(&mut self, key: TranslationKey) -> Option<TlbEntry> {
         self.stats.remote_probes_in += 1;
-        let hit = self.l2_tlb.probe(key).copied();
+        let hit = self.l2_tlb.refresh(key).copied();
         if hit.is_some() {
             self.stats.remote_hits_in += 1;
-            self.l2_tlb.touch(key);
         }
         hit
     }

@@ -8,6 +8,24 @@
 //! spill") and the originating GPU (for the IOMMU's per-GPU eviction
 //! counters).
 //!
+//! # Storage and set scans
+//!
+//! A [`Tlb`] keeps three flat, set-major arrays of `entries` slots, way `w`
+//! of set `s` at slot `s * ways + w`: a 16-bit tag per way ([`key_tag`] of
+//! the resident key, 0 for a free way), the keys, and the payloads with
+//! their LRU/FIFO ticks. An operation scans only its set's tag slice, 16
+//! lanes at a time into a bitmask (two vector compares and a movemask on
+//! baseline x86-64), then confirms each candidate lane, lowest first,
+//! against the full key: a tag collision costs one key compare, never a
+//! wrong hit. Free ways are found the same way, with tag 0.
+//!
+//! The layout is exactly equivalent to a per-set list of optional slots
+//! scanned way by way: same set index, same way positions (lowest free way
+//! first; LRU/FIFO take the first oldest way; `Random` picks a way index),
+//! same recency clock and statistics, and the same set-major [`Tlb::iter`]
+//! order. `tests/reference.rs` checks this against that list model after
+//! every operation.
+//!
 //! # Examples
 //!
 //! ```
@@ -126,21 +144,82 @@ impl TlbEntry {
     }
 }
 
+/// Payload and replacement state of one way, parallel to the tag and key
+/// arrays.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: TranslationKey,
+struct Meta {
     entry: TlbEntry,
     last_used: u64,
     inserted: u64,
 }
 
-/// A set-associative TLB.
+/// Tag of a free way. [`key_tag`] never produces it.
+const FREE: u16 = 0;
+
+/// Ways compared per step of a set scan: one 16-lane tag chunk is two
+/// 128-bit vector compares on baseline x86-64.
+const LANES: usize = 16;
+
+/// The 16-bit tag a [`Tlb`] stores `key` under: the top bits of a
+/// multiplicative hash, which depend on every VPN and ASID bit (the set
+/// index uses only the low folded bits). Never 0, the free-way tag. Two
+/// keys may share a tag; lookups confirm every tag match against the full
+/// key.
+#[must_use]
+pub fn key_tag(key: TranslationKey) -> u16 {
+    let h = (key.vpn.0 ^ (u64::from(key.asid.0) << 48)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let tag = (h >> 48) as u16;
+    tag | u16::from(tag == FREE)
+}
+
+/// Bitmask of the lanes equal to `tag` (bit `i` for lane `i`). Written as
+/// a reversed fold over a fixed-width chunk: the shape LLVM compiles to two
+/// 8-lane vector compares, a pack and a movemask on baseline x86-64.
+#[inline]
+fn lane_mask(lanes: &[u16; LANES], tag: u16) -> u32 {
+    lanes
+        .iter()
+        .rev()
+        .fold(0, |m, &t| (m << 1) | u32::from(t == tag))
+}
+
+/// Where a key sits in its home set, or where an insertion would put it.
+/// Every variant carries the slot index into the flat arrays.
+enum Way {
+    /// The key is resident here.
+    Hit(usize),
+    /// The key is absent; this is the set's lowest free way.
+    Free(usize),
+    /// The key is absent and every way is occupied; `usize` is the set's
+    /// first slot.
+    Full(usize),
+}
+
+/// What [`Tlb::upsert`] displaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Displaced {
+    /// The key was absent and took a free way.
+    Nothing,
+    /// The key was resident; this is the payload the update overwrote.
+    Updated(TlbEntry),
+    /// The key was absent and its set full; this victim was evicted.
+    Evicted(TranslationKey, TlbEntry),
+}
+
+/// A set-associative TLB over flat tag, key and payload arrays.
 ///
-/// See the crate-level docs for an overview and example.
+/// See the crate-level docs for the layout, the scan and an example.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<Option<Slot>>>,
+    /// log2 of the set count.
+    set_bits: u32,
+    /// Per-way [`key_tag`] of the resident key, [`FREE`] for a free way.
+    tags: Vec<u16>,
+    /// Resident keys; stale where the tag is [`FREE`].
+    keys: Vec<TranslationKey>,
+    /// Payloads and ticks; stale where the tag is [`FREE`].
+    meta: Vec<Meta>,
     tick: u64,
     len: usize,
     stats: TlbStats,
@@ -168,9 +247,17 @@ impl Tlb {
         );
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let stale = Meta {
+            entry: TlbEntry::new(PhysPage(0)),
+            last_used: 0,
+            inserted: 0,
+        };
         Tlb {
             config,
-            sets: vec![vec![None; config.ways]; sets],
+            set_bits: sets.trailing_zeros(),
+            tags: vec![FREE; config.entries],
+            keys: vec![TranslationKey::default(); config.entries],
+            meta: vec![stale; config.entries],
             tick: 0,
             len: 0,
             stats: TlbStats::default(),
@@ -218,19 +305,65 @@ impl Tlb {
         // index bits), as used by real TLBs to avoid pathological aliasing
         // of strided/partitioned data layouts; the ASID is folded in so
         // that co-running applications do not all collide on the same sets.
-        let sets = self.sets.len() as u64;
-        let s = sets.trailing_zeros();
+        let s = self.set_bits;
         let v = key.vpn.0;
         let folded = v ^ (v >> s) ^ (v >> (2 * s)) ^ u64::from(key.asid.0).wrapping_mul(0x9e37);
-        (folded & (sets - 1)) as usize
+        (folded & ((1u64 << s) - 1)) as usize
     }
 
-    fn find(&self, key: TranslationKey) -> Option<(usize, usize)> {
-        let si = self.set_index(key);
-        self.sets[si]
+    /// Where `key` is, or where inserting it would put it: the slot holding
+    /// `key`, else the lowest free way of its home set, else `Full`.
+    fn locate(&self, key: TranslationKey) -> Way {
+        let base = self.set_index(key) * self.config.ways;
+        if let Some(slot) = self.find_in(base, key) {
+            Way::Hit(slot)
+        } else {
+            self.first_free(base).map_or(Way::Full(base), Way::Free)
+        }
+    }
+
+    fn find(&self, key: TranslationKey) -> Option<usize> {
+        self.find_in(self.set_index(key) * self.config.ways, key)
+    }
+
+    /// The slot of `key` in the set starting at slot `base`. Tags are
+    /// compared 16 lanes at a time; each candidate lane is confirmed
+    /// against the full key, lowest lane first.
+    fn find_in(&self, base: usize, key: TranslationKey) -> Option<usize> {
+        let tag = key_tag(key);
+        let set = &self.tags[base..base + self.config.ways];
+        let (chunks, tail) = set.as_chunks::<LANES>();
+        for (c, lanes) in chunks.iter().enumerate() {
+            let mut hits = lane_mask(lanes, tag);
+            while hits != 0 {
+                let slot = base + c * LANES + hits.trailing_zeros() as usize;
+                if self.keys[slot] == key {
+                    return Some(slot);
+                }
+                hits &= hits - 1;
+            }
+        }
+        let at = base + chunks.len() * LANES;
+        let keys = &self.keys[at..at + tail.len()];
+        let way = tail
             .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.key == key))
-            .map(|wi| (si, wi))
+            .zip(keys)
+            .position(|(&t, &k)| t == tag && k == key)?;
+        Some(at + way)
+    }
+
+    /// The lowest free slot of the set starting at slot `base`.
+    fn first_free(&self, base: usize) -> Option<usize> {
+        let set = &self.tags[base..base + self.config.ways];
+        let (chunks, tail) = set.as_chunks::<LANES>();
+        for (c, lanes) in chunks.iter().enumerate() {
+            let free = lane_mask(lanes, FREE);
+            if free != 0 {
+                return Some(base + c * LANES + free.trailing_zeros() as usize);
+            }
+        }
+        let way = tail.iter().position(|&t| t == FREE)?;
+        Some(base + chunks.len() * LANES + way)
     }
 
     /// Looks up `key`, recording a hit or miss and refreshing recency on a
@@ -238,12 +371,11 @@ impl Tlb {
     pub fn lookup(&mut self, key: TranslationKey) -> Option<TlbEntry> {
         self.tick += 1;
         self.stats.lookups += 1;
-        if let Some((si, wi)) = self.find(key) {
+        if let Some(slot) = self.find(key) {
             self.stats.hits += 1;
-            // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-            let slot = self.sets[si][wi].as_mut().expect("found slot is valid");
-            slot.last_used = self.tick;
-            Some(slot.entry)
+            let m = &mut self.meta[slot];
+            m.last_used = self.tick;
+            Some(m.entry)
         } else {
             self.stats.misses += 1;
             None
@@ -253,25 +385,13 @@ impl Tlb {
     /// Inspects `key` without touching statistics or recency.
     #[must_use]
     pub fn probe(&self, key: TranslationKey) -> Option<&TlbEntry> {
-        self.find(key).map(|(si, wi)| {
-            &self.sets[si][wi]
-                .as_ref()
-                // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-                .expect("found slot is valid")
-                .entry
-        })
+        self.find(key).map(|slot| &self.meta[slot].entry)
     }
 
     /// Mutable access to an entry's payload without touching statistics or
     /// recency (used to reset spill bits on remote reuse).
     pub fn probe_mut(&mut self, key: TranslationKey) -> Option<&mut TlbEntry> {
-        self.find(key).map(|(si, wi)| {
-            &mut self.sets[si][wi]
-                .as_mut()
-                // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-                .expect("found slot is valid")
-                .entry
-        })
+        self.find(key).map(|slot| &mut self.meta[slot].entry)
     }
 
     /// Inserts (or updates) `key → entry`, returning the victim evicted to
@@ -281,74 +401,68 @@ impl Tlb {
         key: TranslationKey,
         entry: TlbEntry,
     ) -> Option<(TranslationKey, TlbEntry)> {
-        let victim = self.insert_inner(key, entry);
-        self.check_home_set(key);
-        victim
+        match self.upsert(key, entry) {
+            Displaced::Evicted(vk, ve) => Some((vk, ve)),
+            Displaced::Nothing | Displaced::Updated(_) => None,
+        }
     }
 
-    fn insert_inner(
-        &mut self,
-        key: TranslationKey,
-        entry: TlbEntry,
-    ) -> Option<(TranslationKey, TlbEntry)> {
+    /// [`Self::insert`] that also reports the payload an in-place update
+    /// overwrote, so a caller need not probe first. Same statistics and
+    /// recency effects as `insert`.
+    pub fn upsert(&mut self, key: TranslationKey, entry: TlbEntry) -> Displaced {
         self.tick += 1;
         self.stats.insertions += 1;
-        let si = self.set_index(key);
-        // Update in place if present.
-        if let Some(wi) = self.sets[si]
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.key == key))
-        {
-            // sim-lint: allow(panic-reach, reason = "wi came from position() over this same set two lines up")
-            let slot = self.sets[si][wi].as_mut().expect("present");
-            slot.entry = entry;
-            slot.last_used = self.tick;
-            return None;
-        }
-        // Free way if available.
-        if let Some(wi) = self.sets[si].iter().position(Option::is_none) {
-            self.sets[si][wi] = Some(Slot {
-                key,
-                entry,
-                last_used: self.tick,
-                inserted: self.tick,
-            });
-            self.len += 1;
-            return None;
-        }
-        // Evict per policy.
-        let wi = self.victim_way(si);
-        // sim-lint: allow(panic-reach, reason = "this path is reached only when the free-way scan failed, so every way is occupied")
-        let victim = self.sets[si][wi].expect("full set has valid ways");
-        self.sets[si][wi] = Some(Slot {
-            key,
+        let displaced = match self.locate(key) {
+            Way::Hit(slot) => {
+                let m = &mut self.meta[slot];
+                let old = m.entry;
+                m.entry = entry;
+                m.last_used = self.tick;
+                Displaced::Updated(old)
+            }
+            Way::Free(slot) => {
+                self.occupy(slot, key, entry);
+                self.len += 1;
+                Displaced::Nothing
+            }
+            Way::Full(base) => {
+                let slot = base + self.victim_way(base);
+                let (vk, ve) = (self.keys[slot], self.meta[slot].entry);
+                self.occupy(slot, key, entry);
+                self.stats.evictions += 1;
+                Displaced::Evicted(vk, ve)
+            }
+        };
+        self.check_home_set(key);
+        displaced
+    }
+
+    fn occupy(&mut self, slot: usize, key: TranslationKey, entry: TlbEntry) {
+        self.tags[slot] = key_tag(key);
+        self.keys[slot] = key;
+        self.meta[slot] = Meta {
             entry,
             last_used: self.tick,
             inserted: self.tick,
-        });
-        self.stats.evictions += 1;
-        Some((victim.key, victim.entry))
+        };
     }
 
     /// The entry that would be evicted if `key` were inserted now, or `None`
     /// if insertion would not evict (set has room, or `key` is present).
     #[must_use]
     pub fn peek_victim(&self, key: TranslationKey) -> Option<(TranslationKey, TlbEntry)> {
-        let si = self.set_index(key);
-        let present = self.sets[si]
-            .iter()
-            .any(|s| s.as_ref().is_some_and(|s| s.key == key));
-        if present || self.sets[si].iter().any(Option::is_none) {
+        let Way::Full(base) = self.locate(key) else {
             return None;
-        }
-        let wi = self.victim_way_readonly(si);
-        self.sets[si][wi].map(|s| (s.key, s.entry))
+        };
+        let slot = base + self.victim_way_readonly(base);
+        Some((self.keys[slot], self.meta[slot].entry))
     }
 
-    fn victim_way_readonly(&self, si: usize) -> usize {
+    fn victim_way_readonly(&self, base: usize) -> usize {
         match self.config.replacement {
-            ReplacementPolicy::Lru => self.min_by(si, |s| s.last_used),
-            ReplacementPolicy::Fifo => self.min_by(si, |s| s.inserted),
+            ReplacementPolicy::Lru => self.oldest_way(base, |m| m.last_used),
+            ReplacementPolicy::Fifo => self.oldest_way(base, |m| m.inserted),
             // Read-only peek of Random uses the *next* RNG draw without
             // consuming it; insert() consumes it, so peek matches insert.
             ReplacementPolicy::Random => {
@@ -357,15 +471,12 @@ impl Tlb {
         }
     }
 
-    fn victim_way(&mut self, si: usize) -> usize {
-        match self.config.replacement {
-            ReplacementPolicy::Lru => self.min_by(si, |s| s.last_used),
-            ReplacementPolicy::Fifo => self.min_by(si, |s| s.inserted),
-            ReplacementPolicy::Random => {
-                self.rng = Self::xorshift_peek(self.rng);
-                (self.rng % self.config.ways as u64) as usize
-            }
+    fn victim_way(&mut self, base: usize) -> usize {
+        let way = self.victim_way_readonly(base);
+        if self.config.replacement == ReplacementPolicy::Random {
+            self.rng = Self::xorshift_peek(self.rng);
         }
+        way
     }
 
     fn xorshift_peek(mut x: u64) -> u64 {
@@ -375,15 +486,17 @@ impl Tlb {
         x
     }
 
-    fn min_by(&self, si: usize, f: impl Fn(&Slot) -> u64) -> usize {
-        self.sets[si]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, f(s))))
-            .min_by_key(|(_, v)| *v)
-            .map(|(i, _)| i)
-            // sim-lint: allow(panic-reach, reason = "callers invoke victim selection only on full sets, so the iterator is non-empty")
-            .expect("victim selection requires a full set")
+    /// The first way of the set starting at slot `base` with the smallest
+    /// `age` (the LRU/FIFO victim).
+    fn oldest_way(&self, base: usize, age: impl Fn(&Meta) -> u64) -> usize {
+        let mut best = (0, u64::MAX);
+        for (w, m) in self.meta[base..base + self.config.ways].iter().enumerate() {
+            let a = age(m);
+            if a < best.1 {
+                best = (w, a);
+            }
+        }
+        best.0
     }
 
     /// Refreshes `key`'s recency without recording a lookup (used when a
@@ -392,39 +505,44 @@ impl Tlb {
     /// whether the key was present.
     pub fn touch(&mut self, key: TranslationKey) -> bool {
         self.tick += 1;
-        if let Some((si, wi)) = self.find(key) {
-            self.sets[si][wi]
-                .as_mut()
-                // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-                .expect("found slot is valid")
-                .last_used = self.tick;
+        if let Some(slot) = self.find(key) {
+            self.meta[slot].last_used = self.tick;
             true
         } else {
             false
         }
     }
 
+    /// On a hit, refreshes `key`'s recency exactly as [`Self::touch`] does
+    /// and returns its payload for editing; on a miss, changes nothing (not
+    /// even the recency clock). One set scan for the `probe` → `touch` →
+    /// `probe_mut` sequence, without recording a lookup.
+    pub fn refresh(&mut self, key: TranslationKey) -> Option<&mut TlbEntry> {
+        let slot = self.find(key)?;
+        self.tick += 1;
+        let m = &mut self.meta[slot];
+        m.last_used = self.tick;
+        Some(&mut m.entry)
+    }
+
     /// Removes `key`, returning its payload if present.
     pub fn remove(&mut self, key: TranslationKey) -> Option<TlbEntry> {
-        let (si, wi) = self.find(key)?;
-        // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-        let slot = self.sets[si][wi].take().expect("found slot is valid");
+        let slot = self.find(key)?;
+        self.tags[slot] = FREE;
         self.len -= 1;
         self.stats.removals += 1;
         self.check_home_set(key);
-        Some(slot.entry)
+        Some(self.meta[slot].entry)
     }
 
     /// Invalidates every entry of `asid` (per-process TLB shootdown),
     /// returning how many entries were dropped.
     pub fn invalidate_asid(&mut self, asid: Asid) -> usize {
         let mut dropped = 0;
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                if way.is_some_and(|s| s.key.asid == asid) {
-                    *way = None;
-                    dropped += 1;
-                }
+        for (tag, key) in self.tags.iter_mut().zip(&self.keys) {
+            if *tag != FREE && key.asid == asid {
+                *tag = FREE;
+                dropped += 1;
             }
         }
         self.len -= dropped;
@@ -436,10 +554,8 @@ impl Tlb {
     /// dropped.
     pub fn flush(&mut self) -> usize {
         let dropped = self.len;
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = None;
-            }
+        for tag in &mut self.tags {
+            *tag = FREE;
         }
         self.len = 0;
         self.stats.removals += dropped as u64;
@@ -449,10 +565,12 @@ impl Tlb {
     /// Iterates over all valid `(key, entry)` pairs (snapshot order is
     /// set-major and deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (TranslationKey, &TlbEntry)> + '_ {
-        self.sets
+        self.tags
             .iter()
-            .flatten()
-            .filter_map(|s| s.as_ref().map(|s| (s.key, &s.entry)))
+            .zip(&self.keys)
+            .zip(&self.meta)
+            .filter(|((&tag, _), _)| tag != FREE)
+            .map(|((_, &key), m)| (key, &m.entry))
     }
 
     /// Convenience: the set of keys currently resident.
@@ -462,30 +580,36 @@ impl Tlb {
     }
 
     /// Validates the structural invariants of one set: every resident key
-    /// hashes to this set, and no key appears in two ways.
+    /// hashes to this set and carries its own fingerprint as tag, and no
+    /// key appears in two ways.
     ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
     pub fn check_set(&self, si: usize) {
-        let set = &self.sets[si];
-        // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
-        assert!(set.len() == self.config.ways, "set {si}: way count drifted");
-        for (wi, slot) in set.iter().enumerate() {
-            let Some(slot) = slot else { continue };
+        let ways = self.config.ways;
+        let base = si * ways;
+        for w in 0..ways {
+            let (tag, key) = (self.tags[base + w], self.keys[base + w]);
+            if tag == FREE {
+                continue;
+            }
             // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
             assert!(
-                self.set_index(slot.key) == si,
-                "set {si} way {wi}: key {:?} belongs to set {}",
-                slot.key,
-                self.set_index(slot.key)
+                self.set_index(key) == si,
+                "set {si} way {w}: key {key:?} belongs to set {}",
+                self.set_index(key)
             );
-            for other in set.iter().take(wi).flatten() {
+            // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
+            assert!(
+                tag == key_tag(key),
+                "set {si} way {w}: tag {tag:#06x} is not key {key:?}'s fingerprint"
+            );
+            for other in base..base + w {
                 // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
                 assert!(
-                    other.key != slot.key,
-                    "set {si}: duplicate key {:?}",
-                    slot.key
+                    self.tags[other] == FREE || self.keys[other] != key,
+                    "set {si}: duplicate key {key:?}"
                 );
             }
         }
@@ -499,11 +623,10 @@ impl Tlb {
     ///
     /// Panics when an invariant is violated.
     pub fn check_structure(&self) {
-        let mut occupied = 0;
-        for si in 0..self.sets.len() {
+        for si in 0..self.config.sets() {
             self.check_set(si);
-            occupied += self.sets[si].iter().flatten().count();
         }
+        let occupied = self.tags.iter().filter(|&&t| t != FREE).count();
         // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
         assert!(
             occupied == self.len,
