@@ -43,9 +43,13 @@
 //! handler profiler and writes the suite-merged report — wall-clock
 //! derived, non-deterministic, never part of the byte-stable outputs.
 
+use std::path::Path;
 use std::time::Instant;
 
+use common::OutputFile;
 use least_tlb::experiments::{run_suite, telemetry_table, ExpOptions, ALL_EXPERIMENTS};
+
+mod common;
 
 /// Extension experiments: answer by name but stay out of `all`.
 const EXTENSIONS: &[&str] = &["topology-sweep"];
@@ -190,6 +194,21 @@ fn main() {
     opts.trace = trace_out.is_some();
     opts.profile = profile_json.is_some();
 
+    // Output files are created before the suite runs, so a bad path fails
+    // at once instead of after every simulation. `--trace-out` names one
+    // file per run, so only its directory can be checked up front.
+    let create = |flag, path: &Option<String>| {
+        path.as_deref()
+            .map(|p| OutputFile::create(flag, p).unwrap_or_else(|e| usage_error(&e)))
+    };
+    let metrics_out = create("--metrics-json", &metrics_json);
+    let timeline_out = create("--timeline-json", &timeline_json);
+    let profile_out = create("--profile-json", &profile_json);
+    let telemetry_out = create("--telemetry-json", &telemetry_json);
+    if let Some(base) = &trace_out {
+        check_trace_dir(base);
+    }
+
     let total = Instant::now();
     let outcomes = run_suite(&wanted, &opts, jobs);
     for outcome in &outcomes {
@@ -214,14 +233,15 @@ fn main() {
             eprintln!("{}", least_tlb::latency_breakdown(&outcome.metrics));
         }
     }
-    if let Some(path) = &metrics_json {
+    if let Some(mut out) = metrics_out {
         let mut merged = obs::MetricsSnapshot::default();
         for outcome in &outcomes {
             merged.absorb(&outcome.metrics);
         }
         let json = serde_json::to_string_pretty(&merged).expect("serializable");
-        std::fs::write(path, json).expect("metrics file writes");
-        eprintln!("wrote merged metrics snapshot to {path}");
+        out.write(json.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
+        eprintln!("wrote merged metrics snapshot to {}", out.path());
     }
     if timeline {
         for outcome in &outcomes {
@@ -236,36 +256,39 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &timeline_json {
+    if let Some(mut out) = timeline_out {
         let json = timeline_json_report(&outcomes);
-        std::fs::write(path, json).expect("timeline file writes");
-        eprintln!("wrote timeline series to {path}");
+        out.write(json.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
+        eprintln!("wrote timeline series to {}", out.path());
     }
     if let Some(base) = &trace_out {
         write_traces(base, &outcomes);
     }
-    if let Some(path) = &profile_json {
+    if let Some(mut out) = profile_out {
         let mut merged = obs::ProfileReport::default();
         for outcome in &outcomes {
             merged.absorb(&outcome.profile);
         }
         let json = serde_json::to_string_pretty(&merged).expect("serializable");
-        std::fs::write(path, json).expect("profile file writes");
+        out.write(json.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
         for h in merged.handlers.iter().take(5) {
             eprintln!(
                 "  profile: {:<14} {:>12} events  {:>8} ns/event",
                 h.name, h.events, h.ns_per_event
             );
         }
-        eprintln!("wrote merged handler profile to {path}");
+        eprintln!("wrote merged handler profile to {}", out.path());
     }
     eprintln!("==== telemetry ({jobs} jobs) ====");
     eprintln!("{}", telemetry_table(&outcomes));
     let total_wall = total.elapsed().as_secs_f64();
-    if let Some(path) = &telemetry_json {
+    if let Some(mut out) = telemetry_out {
         let json = telemetry_json_report(&outcomes, jobs, total_wall);
-        std::fs::write(path, json).expect("telemetry file writes");
-        eprintln!("wrote telemetry report to {path}");
+        out.write(json.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
+        eprintln!("wrote telemetry report to {}", out.path());
     }
     eprintln!("total wall time: {total_wall:.1}s");
 }
@@ -318,6 +341,26 @@ fn timeline_json_report(outcomes: &[least_tlb::experiments::SuiteOutcome]) -> St
     serde_json::to_string_pretty(&report).expect("serializable")
 }
 
+/// Exits with a usage error unless the directory the `--trace-out` base
+/// path names files in exists.
+fn check_trace_dir(base: &str) {
+    let dir = match Path::new(base).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    match std::fs::metadata(dir) {
+        Ok(meta) if meta.is_dir() => {}
+        Ok(_) => usage_error(&format!(
+            "--trace-out {base}: {} is not a directory",
+            dir.display()
+        )),
+        Err(e) => usage_error(&format!(
+            "--trace-out {base}: cannot use directory {}: {e}",
+            dir.display()
+        )),
+    }
+}
+
 /// Writes one Perfetto trace file per simulated run, named
 /// `{stem}-{runner}-{i}{ext}` after the `--trace-out` base path.
 fn write_traces(base: &str, outcomes: &[least_tlb::experiments::SuiteOutcome]) {
@@ -329,7 +372,8 @@ fn write_traces(base: &str, outcomes: &[least_tlb::experiments::SuiteOutcome]) {
     for outcome in outcomes {
         for (i, (workload, doc)) in outcome.traces.iter().enumerate() {
             let path = format!("{stem}-{}-{i}{ext}", outcome.name);
-            std::fs::write(&path, doc).expect("trace-event file writes");
+            std::fs::write(&path, doc)
+                .unwrap_or_else(|e| usage_error(&format!("--trace-out {path}: cannot write: {e}")));
             eprintln!("wrote trace for {} / {workload} to {path}", outcome.name);
             files += 1;
         }

@@ -40,10 +40,14 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
+use common::OutputFile;
+
 use least_tlb::trace::TranslationTrace;
 use least_tlb::{latency_breakdown, Policy, RunResult, System, SystemConfig, WorkloadSpec};
 use mgpu_types::PageSize;
 use workloads::{mix_workloads, multi_app_workloads, scaling_workloads, AppKind};
+
+mod common;
 
 /// Reports a usage error without a panic backtrace and exits with the
 /// conventional usage-error code.
@@ -300,6 +304,14 @@ fn main() {
         File::create(path)
             .unwrap_or_else(|e| usage_error(&format!("--record-trace {path}: cannot create: {e}")))
     });
+    let create = |flag, path: &Option<String>| {
+        path.as_deref()
+            .map(|p| OutputFile::create(flag, p).unwrap_or_else(|e| usage_error(&e)))
+    };
+    let trace_out = create("--trace-out", &args.trace_out);
+    let metrics_json = create("--metrics-json", &args.metrics_json);
+    let timeline_json = create("--timeline-json", &args.timeline_json);
+    let profile_json = create("--profile-json", &args.profile_json);
 
     let mut result = if let Some(path) = &args.replay_trace {
         let file = File::open(path)
@@ -329,47 +341,55 @@ fn main() {
         eprintln!("recorded {} requests to {path}", trace.len());
     }
 
-    if let Some(path) = &args.trace_out {
+    if let Some(mut out) = trace_out {
         let events = result
             .trace_events
             .take()
             .expect("trace events were collected");
-        std::fs::write(path, events).expect("trace-event file writes");
-        eprintln!("wrote Chrome trace events to {path} (load at https://ui.perfetto.dev)");
-    }
-
-    if let Some(path) = &args.metrics_json {
-        let metrics = result.metrics.as_ref().expect("metrics were collected");
-        let json = serde_json::to_string_pretty(metrics).expect("serializable");
-        std::fs::write(path, json).expect("metrics file writes");
-        eprintln!("wrote metrics snapshot to {path}");
-    }
-
-    if let Some(path) = &args.timeline_json {
-        let timeline = result.timeline.as_ref().expect("timeline was collected");
-        let json = serde_json::to_string_pretty(timeline).expect("serializable");
-        std::fs::write(path, json).expect("timeline file writes");
+        out.write(events.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
         eprintln!(
-            "wrote timeline ({} windows of {} cycles) to {path}",
-            timeline.windows.len(),
-            timeline.window
+            "wrote Chrome trace events to {} (load at https://ui.perfetto.dev)",
+            out.path()
         );
     }
 
-    if let Some(path) = &args.profile_json {
+    if let Some(mut out) = metrics_json {
+        let metrics = result.metrics.as_ref().expect("metrics were collected");
+        let json = serde_json::to_string_pretty(metrics).expect("serializable");
+        out.write(json.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
+        eprintln!("wrote metrics snapshot to {}", out.path());
+    }
+
+    if let Some(mut out) = timeline_json {
+        let timeline = result.timeline.as_ref().expect("timeline was collected");
+        let json = serde_json::to_string_pretty(timeline).expect("serializable");
+        out.write(json.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
+        eprintln!(
+            "wrote timeline ({} windows of {} cycles) to {}",
+            timeline.windows.len(),
+            timeline.window,
+            out.path()
+        );
+    }
+
+    if let Some(mut out) = profile_json {
         // The profile is host wall-time: informative, but never part of a
         // deterministic artifact. Take it out of the result so --json
         // output stays byte-comparable across machines and runs.
         let profile = result.profile.take().expect("profiler was enabled");
         let json = serde_json::to_string_pretty(&profile).expect("serializable");
-        std::fs::write(path, json).expect("profile file writes");
+        out.write(json.as_bytes())
+            .unwrap_or_else(|e| usage_error(&e));
         for h in profile.handlers.iter().take(5) {
             eprintln!(
                 "  profile: {:<14} {:>12} events  {:>8} ns/event",
                 h.name, h.events, h.ns_per_event
             );
         }
-        eprintln!("wrote handler profile to {path}");
+        eprintln!("wrote handler profile to {}", out.path());
     }
 
     if args.json {

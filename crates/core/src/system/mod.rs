@@ -268,6 +268,11 @@ pub(crate) enum Event {
     FabricHop { node: usize, msg: NetMsg },
 }
 
+// Every queued event pays this size in bucket memory and in copies, so a
+// new variant must not grow it silently.
+// sim-lint: allow(hygiene, reason = "const assert: rustc evaluates it at compile time, release runs carry no check")
+const _: () = assert!(std::mem::size_of::<Event>() <= 48);
+
 impl Event {
     /// Handler labels in declaration order — the profiler's attribution
     /// axis. `System::dispatch` returns the index of the variant it
@@ -1106,10 +1111,16 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the IOMMU eviction counters disagree with the actual
-    /// per-origin entry counts, or (with the `Exact` tracker backend) if
-    /// tracker contents diverge from L2 contents.
+    /// Panics if the event queue's structure is broken (checked only
+    /// under debug assertions or the `check` feature, see
+    /// [`EventQueue::check_structure`]), if the IOMMU eviction counters
+    /// disagree with the actual per-origin entry counts, or (with the
+    /// `Exact` tracker backend) if tracker contents diverge from L2
+    /// contents.
     pub fn check_invariants(&self) {
+        // Path-call form keeps the lexical call graph from linking this
+        // to every other `check_structure` in the workspace.
+        EventQueue::check_structure(&self.queue);
         // Eviction counters == per-origin entry counts in the IOMMU TLB.
         let mut counts = vec![0u64; self.cfg.gpus];
         for (_, e) in self.iommu.tlb.iter() {

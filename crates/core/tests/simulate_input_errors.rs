@@ -1,5 +1,7 @@
-//! `simulate` rejects bad trace input with exit code 2 and a message naming
-//! the file and the cause, never with a panic.
+//! `simulate` rejects bad trace input, and `simulate` and `figures` reject
+//! output paths they cannot write, with exit code 2 and a message naming
+//! the file and the cause, never with a panic. Output paths are checked
+//! before the run, so these cases cost no simulation.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -9,6 +11,13 @@ fn simulate(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("simulate runs")
+}
+
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .output()
+        .expect("figures runs")
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -78,4 +87,45 @@ fn out_of_range_trace_request_exits_2() {
     let out = simulate(&["--quick", "--replay-trace", p]);
     assert_rejected(&out, p);
     assert_rejected(&out, "GPU 9");
+}
+
+#[test]
+fn simulate_output_in_missing_directory_exits_2() {
+    for flag in [
+        "--trace-out",
+        "--metrics-json",
+        "--timeline-json",
+        "--profile-json",
+    ] {
+        let path = scratch(&format!("no-such-dir/{}.json", &flag[2..]));
+        let path = path.to_str().expect("utf-8 path");
+        let out = simulate(&[
+            "--quick",
+            "--budget",
+            "20000",
+            "--workload",
+            "ST",
+            flag,
+            path,
+        ]);
+        assert_rejected(&out, &format!("{flag} {path}"));
+        assert_rejected(&out, "cannot create");
+    }
+}
+
+#[test]
+fn figures_output_in_missing_directory_exits_2() {
+    for (flag, cause) in [
+        ("--metrics-json", "cannot create"),
+        ("--timeline-json", "cannot create"),
+        ("--profile-json", "cannot create"),
+        ("--telemetry-json", "cannot create"),
+        ("--trace-out", "cannot use directory"),
+    ] {
+        let path = scratch(&format!("no-such-dir/{}.json", &flag[2..]));
+        let path = path.to_str().expect("utf-8 path");
+        let out = figures(&["--quick", "--budget", "20000", flag, path, "fig2"]);
+        assert_rejected(&out, &format!("{flag} {path}"));
+        assert_rejected(&out, cause);
+    }
 }

@@ -10,8 +10,12 @@
 //! heap, see [`EventQueue`]): the short-horizon common case — TLB, link and
 //! walk latencies are small constants — costs O(1) per event, and the
 //! batch API ([`EventQueue::pop_batch`]) hands a dispatch loop every event
-//! of a cycle in one operation. Far-future events (fault batches, snapshot
-//! timers) ride the overflow heap and are promoted as the clock advances.
+//! of a cycle in one operation, by moving the bucket's buffer rather than
+//! copying its events. Idle buckets own no memory: drained buffers wait in
+//! a LIFO spare pool for the next bucket to come alive, so the queue's
+//! memory follows its occupied buckets, not the ring length. Far-future
+//! events (fault batches, snapshot timers) ride the overflow heap and are
+//! promoted as the clock advances.
 //!
 //! The queue is generic over the event payload so the system model (in the
 //! `least-tlb` crate) can define one flat event enum and keep dispatch in a

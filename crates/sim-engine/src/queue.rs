@@ -10,8 +10,21 @@
 //! in one call ([`pop_batch`](EventQueue::pop_batch)). Events scheduled at
 //! or beyond the ring horizon (fault handling, snapshots, deep resource
 //! backlogs) park in a small overflow [`BinaryHeap`] and are *promoted*
-//! into the ring as the clock advances. Events live inline in the bucket
-//! storage (reused allocations, no per-event boxing).
+//! into the ring as the clock advances.
+//!
+//! # Bucket storage
+//!
+//! Each bucket is a plain `Vec` of events, stored inline. An idle bucket
+//! is `Vec::new()` and owns no memory. Buffers that drain go to a LIFO
+//! pool of spares, and a bucket that comes alive takes the most recently
+//! drained one. That is the buffer the dispatch loop has just finished
+//! with, so the store lands in cache rather than in a bucket last
+//! touched a whole ring ago. The queue's memory therefore follows the
+//! number of occupied buckets, not the ring length. `pop_batch` hands
+//! the cycle's buffer itself to the caller and pools the caller's old
+//! one, so a batch changes hands without copying an event. Single-event
+//! `pop` takes the cycle's buffer the same way, reverses it in place,
+//! and pops events off its end.
 //!
 //! # Determinism
 //!
@@ -40,7 +53,8 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use std::mem;
 
 use mgpu_types::Cycle;
 
@@ -62,8 +76,18 @@ const DEFAULT_RING: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Per-cycle buckets; slot `c & mask` holds the events of cycle `c`
-    /// for the unique in-horizon cycle mapping to that slot.
-    buckets: Vec<VecDeque<E>>,
+    /// for the unique in-horizon cycle mapping to that slot, in schedule
+    /// order. An idle bucket is `Vec::new()` and owns no allocation.
+    buckets: Vec<Vec<E>>,
+    /// Drained, empty bucket buffers, most recently drained last. A
+    /// bucket coming alive takes the top one (see the module docs).
+    spare: Vec<Vec<E>>,
+    /// The rest of cycle `now`'s events once [`pop`](Self::pop) has
+    /// started on them: the cycle's own bucket buffer, reversed in place
+    /// so each pop takes the last element in O(1). Events scheduled for
+    /// `now` meanwhile land in the idle bucket behind it. Otherwise
+    /// empty, and then it owns no allocation.
+    front: Vec<E>,
     /// Occupancy bitmap over `buckets` (one bit per slot).
     occ: Vec<u64>,
     /// Second-level bitmap: bit `w` set iff `occ[w] != 0`. Keeps the
@@ -73,7 +97,8 @@ pub struct EventQueue<E> {
     overflow: BinaryHeap<Reverse<Slot<E>>>,
     /// `buckets.len() - 1`; the ring length is a power of two.
     mask: u64,
-    /// Events currently resident in the ring (not the overflow heap).
+    /// Events currently resident in the ring's buckets and in `front`
+    /// (not the overflow heap).
     in_buckets: usize,
     seq: u64,
     now: Cycle,
@@ -115,14 +140,16 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue whose calendar ring spans `ring` cycles.
     /// `ring` is rounded up to a power of two and clamped to at least 64.
     /// Smaller rings shift work onto the overflow heap (more promotions);
-    /// larger rings cost idle-slot scan width and resident memory. Exposed
-    /// for benchmarks and the differential tests; simulation code uses
-    /// [`new`](Self::new).
+    /// larger rings cost idle-slot scan width and one empty `Vec` header
+    /// per slot. Exposed for benchmarks and the differential tests;
+    /// simulation code uses [`new`](Self::new).
     #[must_use]
     pub fn with_ring(ring: usize) -> Self {
         let ring = ring.max(64).next_power_of_two();
         EventQueue {
-            buckets: (0..ring).map(|_| VecDeque::new()).collect(),
+            buckets: (0..ring).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
+            front: Vec::new(),
             occ: vec![0u64; ring / 64],
             summary: vec![0u64; (ring / 64).div_ceil(64)],
             overflow: BinaryHeap::new(),
@@ -208,10 +235,7 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         if at.0 - self.now.0 <= self.mask {
-            let slot = (at.0 & self.mask) as usize;
-            self.buckets[slot].push_back(event);
-            self.mark_slot(slot);
-            self.in_buckets += 1;
+            self.enqueue((at.0 & self.mask) as usize, event);
         } else {
             self.overflow.push(Reverse(Slot {
                 time: at,
@@ -240,12 +264,42 @@ impl<E> EventQueue<E> {
         self.schedule(at.max(self.now), event);
     }
 
-    /// Marks `slot` occupied in the bitmap and its summary.
+    /// Appends `event` to the bucket at `slot`. An idle bucket first
+    /// takes the most recently drained spare buffer, if there is one.
     #[inline]
-    fn mark_slot(&mut self, slot: usize) {
+    fn enqueue(&mut self, slot: usize, event: E) {
+        if self.mark_slot(slot) {
+            // Path-call form: sim-lint resolves `.pop()` by name, and the
+            // method form would add a lexical edge to `EventQueue::pop`.
+            if let Some(buffer) = Vec::pop(&mut self.spare) {
+                self.buckets[slot] = buffer;
+            }
+        }
+        self.buckets[slot].push(event);
+        self.in_buckets += 1;
+    }
+
+    /// Returns a buffer whose events have all been handed out to the
+    /// spare pool. A buffer that owns no memory is not worth pooling.
+    #[inline]
+    fn recycle(&mut self, buffer: Vec<E>) {
+        // Path-call form for the same reason as in `enqueue`: `.capacity()`
+        // would resolve to the TLB and filter methods of that name.
+        if Vec::capacity(&buffer) > 0 {
+            self.spare.push(buffer);
+        }
+    }
+
+    /// Marks `slot` occupied in the bitmap and its summary. Returns
+    /// whether the slot was idle before.
+    #[inline]
+    fn mark_slot(&mut self, slot: usize) -> bool {
         let w = slot >> 6;
-        self.occ[w] |= 1 << (slot & 63);
+        let bit = 1 << (slot & 63);
+        let idle = self.occ[w] & bit == 0;
+        self.occ[w] |= bit;
         self.summary[w >> 6] |= 1 << (w & 63);
+        idle
     }
 
     /// Clears `slot` (its bucket just emptied) from the bitmap, and from
@@ -332,10 +386,7 @@ impl<E> EventQueue<E> {
             let Some(Reverse(slot)) = self.overflow.pop() else {
                 break;
             };
-            let idx = (slot.time.0 & self.mask) as usize;
-            self.buckets[idx].push_back(slot.event);
-            self.mark_slot(idx);
-            self.in_buckets += 1;
+            self.enqueue((slot.time.0 & self.mask) as usize, slot.event);
         }
     }
 
@@ -347,14 +398,12 @@ impl<E> EventQueue<E> {
             .or_else(|| self.overflow.peek().map(|Reverse(s)| s.time.0))
     }
 
-    /// Pops the next event, advancing the clock to its timestamp.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, and in release builds with the `check` feature,
-    /// panics if the calendar would deliver an event before the current
-    /// time (time-monotonicity invariant).
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
+    /// Advances the clock to the next pending cycle, promotes the
+    /// overflow events that entered the horizon, and takes that cycle's
+    /// bucket whole, leaving the slot idle. `None` when nothing is
+    /// pending.
+    #[inline]
+    fn take_next_cycle(&mut self) -> Option<Vec<E>> {
         let c = self.next_cycle()?;
         if cfg!(any(debug_assertions, feature = "check")) {
             assert!(c >= self.now.0, "calendar queue violated time order");
@@ -362,16 +411,37 @@ impl<E> EventQueue<E> {
         self.now = Cycle(c);
         self.promote();
         let slot = (c & self.mask) as usize;
-        let event = self.buckets[slot]
-            .pop_front()
-            // sim-lint: allow(panic-reach, reason = "next_cycle returned this slot's cycle, and promote() fills the bucket when it came from the overflow heap; an empty bucket is an internal-invariant bug")
-            .expect("scanned calendar slot holds an event");
-        if self.buckets[slot].is_empty() {
-            self.clear_slot(slot);
+        self.clear_slot(slot);
+        Some(mem::take(&mut self.buckets[slot]))
+    }
+
+    /// Pops the next event, advancing the clock to its timestamp.
+    ///
+    /// The first pop from a cycle takes its whole bucket and reverses it;
+    /// later pops take from its end, so a pop costs O(1) amortized.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, and in release builds with the `check` feature,
+    /// panics if the calendar would deliver an event before the current
+    /// time (time-monotonicity invariant).
+    pub fn pop(&mut self) -> Option<(Cycle, E)> {
+        if self.front.is_empty() {
+            let mut cycle = self.take_next_cycle()?;
+            cycle.reverse();
+            self.front = cycle;
+        }
+        // `front` holds an event: it was just filled from an occupied
+        // bucket, or an earlier pop left the rest of the cycle there.
+        // Path-call form, as in `enqueue`.
+        let event = Vec::pop(&mut self.front)?;
+        if self.front.is_empty() {
+            let drained = mem::take(&mut self.front);
+            self.recycle(drained);
         }
         self.in_buckets -= 1;
         self.popped += 1;
-        Some((Cycle(c), event))
+        Some((self.now, event))
     }
 
     /// Pops *every* event of the next occupied cycle into `out` (cleared
@@ -383,7 +453,13 @@ impl<E> EventQueue<E> {
     /// queue operation per event. Events scheduled *for the same cycle
     /// while the batch is being dispatched* form a follow-up batch — the
     /// next call returns the same cycle again — which is exactly the
-    /// delivery order the single-event API produces.
+    /// delivery order the single-event API produces. After single pops
+    /// part-way through a cycle, the batch is the rest of that cycle.
+    ///
+    /// The batch changes hands without a copy: `out` receives the
+    /// bucket's own buffer, and `out`'s old buffer joins the spare pool.
+    /// A loop that passes the same `out` every call keeps the buffers
+    /// circulating, so the queue stops allocating once it is warm.
     ///
     /// Delivered-event telemetry counts the whole batch at pop time; a
     /// caller that stops dispatching mid-batch (simulation end) corrects
@@ -395,18 +471,20 @@ impl<E> EventQueue<E> {
     /// panics if the calendar would deliver before the current time.
     pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
         out.clear();
-        let c = self.next_cycle()?;
-        if cfg!(any(debug_assertions, feature = "check")) {
-            assert!(c >= self.now.0, "calendar queue violated time order");
-        }
-        self.now = Cycle(c);
-        self.promote();
-        let slot = (c & self.mask) as usize;
-        out.extend(self.buckets[slot].drain(..));
-        self.clear_slot(slot);
+        // Path-call form, as in `enqueue`: `.is_empty()` would link this
+        // hot path to every `is_empty` in the workspace.
+        let batch = if Vec::is_empty(&self.front) {
+            self.take_next_cycle()?
+        } else {
+            let mut rest = mem::take(&mut self.front);
+            rest.reverse();
+            rest
+        };
+        let emptied = mem::replace(out, batch);
+        self.recycle(emptied);
         self.in_buckets -= out.len();
         self.popped += out.len() as u64;
-        Some(Cycle(c))
+        Some(self.now)
     }
 
     /// Corrects the delivered-event count after a caller abandons the tail
@@ -430,15 +508,22 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.next_cycle().map(Cycle)
+        if Vec::is_empty(&self.front) {
+            self.next_cycle().map(Cycle)
+        } else {
+            Some(self.now)
+        }
     }
 
     /// Verifies the calendar's internal structure invariants: the
     /// occupancy bitmap matches bucket emptiness, the resident count
-    /// matches bucket contents, and every overflow event lies at or
-    /// beyond the ring horizon. Compiled to a no-op unless debug
-    /// assertions or the `check` feature are on; the `--features check`
-    /// CI run exercises it on the calendar path.
+    /// matches bucket and front contents, every idle bucket (and an idle
+    /// front) owns no allocation, every pooled buffer is empty, the
+    /// queue never holds more buffers than the high-water mark, and
+    /// every overflow event lies at or beyond the ring horizon. Compiled
+    /// to a no-op unless debug assertions or the `check` feature are on;
+    /// `System::check_invariants` calls it, so the sim-check oracle runs
+    /// it after every scripted step.
     ///
     /// # Panics
     ///
@@ -447,7 +532,10 @@ impl<E> EventQueue<E> {
         if !cfg!(any(debug_assertions, feature = "check")) {
             return;
         }
-        let mut resident = 0usize;
+        // A zero-sized payload never allocates, and its `Vec` reports
+        // `usize::MAX` capacity, so only sized payloads are checked.
+        let allocates = mem::size_of::<E>() > 0;
+        let (mut resident, mut occupied) = (0usize, 0usize);
         for (slot, b) in self.buckets.iter().enumerate() {
             let bit = self.occ[slot >> 6] >> (slot & 63) & 1;
             // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
@@ -456,10 +544,39 @@ impl<E> EventQueue<E> {
                 !b.is_empty(),
                 "occupancy bit {slot} disagrees with bucket contents"
             );
+            // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
+            assert!(
+                !allocates || !b.is_empty() || Vec::capacity(b) == 0,
+                "idle bucket {slot} still owns an allocation"
+            );
             resident += b.len();
+            occupied += usize::from(!b.is_empty());
         }
         // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
+        assert!(
+            !allocates || !self.front.is_empty() || Vec::capacity(&self.front) == 0,
+            "the idle front buffer still owns an allocation"
+        );
+        resident += self.front.len();
+        occupied += usize::from(!self.front.is_empty());
+        // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
         assert_eq!(resident, self.in_buckets, "ring resident count drifted");
+        // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
+        assert!(
+            self.spare.iter().all(Vec::is_empty),
+            "a pooled spare buffer still holds events"
+        );
+        // Buffers are allocated only while the pool is empty, when every
+        // one the queue holds sits in an occupied bucket or the front,
+        // and a handoff swaps one buffer for at most one. So the count
+        // never exceeds the peak number of pending events.
+        // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
+        assert!(
+            occupied + self.spare.len() <= self.high_water,
+            "{occupied} occupied buffers + {} spare buffers exceed the high-water mark {}",
+            self.spare.len(),
+            self.high_water
+        );
         for (w, &word) in self.occ.iter().enumerate() {
             let bit = self.summary[w >> 6] >> (w & 63) & 1;
             // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")

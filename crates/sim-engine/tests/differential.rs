@@ -9,6 +9,13 @@
 //! telemetry, including the regimes the calendar handles specially:
 //! same-cycle FIFO bursts, far-future outliers that ride the overflow
 //! heap, `schedule_no_earlier` clamps, and ring wraparound.
+//!
+//! The last group runs the default 4096-slot ring with a 48-byte payload,
+//! the size of the simulator's `Event`, and checks the bucket storage
+//! itself after every step: buffers drained by `pop` and `pop_batch`
+//! are pooled empty and recycled into later buckets, idle buckets own no
+//! memory, a batch after single pops hands out the rest of the cycle,
+//! and no payload is torn or duplicated on the way.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -132,7 +139,7 @@ fn drain_and_compare(q: &mut EventQueue<u32>, r: &mut RefQueue) {
     }
 }
 
-fn check_telemetry(q: &EventQueue<u32>, r: &RefQueue) {
+fn check_telemetry<E>(q: &EventQueue<E>, r: &RefQueue) {
     assert_eq!(q.scheduled(), r.scheduled, "scheduled counter");
     assert_eq!(q.delivered(), r.delivered, "delivered counter");
     assert_eq!(q.now(), Cycle(r.now), "clock");
@@ -290,4 +297,257 @@ fn rescind_delivered_mirrors_abandoned_tail() {
     }
     q.rescind_delivered(batch.len() as u64 - 3);
     assert_eq!(q.delivered(), r.delivered, "rescinded tail must not count");
+}
+
+/// A 48-byte payload, the size of the simulator's `Event`. Every word is
+/// derived from the id, so a payload torn or mixed up by a buffer move
+/// shows up as a mismatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fat([u64; 6]);
+
+const _: () = assert!(std::mem::size_of::<Fat>() == 48);
+
+impl Fat {
+    fn new(id: u32) -> Self {
+        let x = u64::from(id);
+        Fat([
+            x,
+            !x,
+            x.rotate_left(17),
+            x ^ 0xa5a5_a5a5,
+            x * 3,
+            x.wrapping_neg(),
+        ])
+    }
+
+    fn id(self) -> u32 {
+        let id = self.0[0] as u32;
+        assert_eq!(self, Fat::new(id), "payload torn in the queue");
+        id
+    }
+}
+
+/// The calendar queue on its default ring with `Fat` payloads, run in
+/// lockstep with the reference. `out` is the one batch buffer every
+/// `pop_batch` reuses, as the simulator's dispatch loop does; it is read
+/// by reference and never drained, so each call hands the queue a
+/// non-empty buffer to clear and pool.
+struct Lockstep {
+    q: EventQueue<Fat>,
+    r: RefQueue,
+    out: Vec<Fat>,
+    next_id: u32,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            q: EventQueue::new(),
+            r: RefQueue::new(),
+            out: Vec::new(),
+            next_id: 0,
+        }
+    }
+
+    fn schedule_after(&mut self, delta: u64) {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.q.schedule_after(delta, Fat::new(id));
+        self.r.schedule_after(delta, id);
+    }
+
+    fn pop(&mut self) -> Option<Cycle> {
+        let got = self.q.pop().map(|(t, f)| (t, f.id()));
+        let want = self.r.pop().map(|(t, e)| (Cycle(t), e));
+        assert_eq!(got, want, "pop diverged from reference");
+        got.map(|(t, _)| t)
+    }
+
+    /// Pops the next cycle into `out` and checks it event by event.
+    fn pop_batch(&mut self) -> Option<Cycle> {
+        let t = self.q.pop_batch(&mut self.out);
+        for f in &self.out {
+            let (wt, wid) = self.r.pop().expect("reference ran dry mid-batch");
+            assert_eq!((t, f.id()), (Some(Cycle(wt)), wid), "batch diverged");
+        }
+        if t.is_none() {
+            assert!(
+                self.r.pop().is_none(),
+                "reference had events the batch missed"
+            );
+        }
+        assert_eq!(
+            self.q.delivered(),
+            self.r.delivered,
+            "delivered after batch"
+        );
+        t
+    }
+
+    fn check(&self) {
+        self.q.check_structure();
+        assert_eq!(self.q.len(), self.r.heap.len(), "resident count");
+        let next = self.r.heap.peek().map(|Reverse((t, _, _))| Cycle(*t));
+        assert_eq!(self.q.peek_time(), next, "next pending cycle");
+    }
+
+    fn finish(mut self) {
+        while self.pop_batch().is_some() {
+            self.check();
+        }
+        self.check();
+        check_telemetry(&self.q, &self.r);
+    }
+}
+
+#[test]
+fn burst_buffer_is_recycled_into_later_buckets() {
+    // A 1,000-event cycle grows one bucket buffer far past the others.
+    // Draining it must leave the bucket idle (no memory), and the grown
+    // buffer must come back through the pool into a later bucket.
+    let mut l = Lockstep::new();
+    for _ in 0..1_000 {
+        l.schedule_after(5);
+    }
+    l.schedule_after(9);
+    l.check();
+    assert_eq!(l.pop_batch(), Some(Cycle(5)));
+    assert_eq!(l.out.len(), 1_000);
+    let grown = l.out.capacity();
+    l.check();
+    // The next handoff pools the grown buffer; the next bucket to come
+    // alive takes it, and hands it back when its cycle is popped.
+    assert_eq!(l.pop_batch(), Some(Cycle(9)));
+    l.check();
+    l.schedule_after(3);
+    assert_eq!(l.pop_batch(), Some(Cycle(12)));
+    assert_eq!(l.out.capacity(), grown, "the grown buffer was not recycled");
+    l.check();
+    // Sparse traffic afterwards: a few events a cycle, far apart.
+    let mut g = Gen(0xd1ff_0101);
+    for _ in 0..3_000 {
+        for _ in 0..g.next() % 3 {
+            l.schedule_after(1 + g.next() % 600);
+        }
+        if g.next().is_multiple_of(3) {
+            l.pop_batch();
+        }
+        l.check();
+    }
+    l.finish();
+}
+
+#[test]
+fn single_pops_that_empty_buckets_mix_with_batches() {
+    // `pop` empties a bucket one event at a time and must pool the
+    // buffer itself; `pop_batch` hands buffers over whole. Interleaved,
+    // both must keep the pool and the buckets consistent.
+    let mut g = Gen(0xd1ff_0102);
+    let mut l = Lockstep::new();
+    for _ in 0..20_000 {
+        match g.next() % 10 {
+            0..=3 => {
+                for _ in 0..1 + g.next() % 4 {
+                    l.schedule_after(g.next() % 24);
+                }
+            }
+            4..=6 => {
+                for _ in 0..1 + g.next() % 3 {
+                    l.pop();
+                }
+            }
+            7 => l.schedule_after(5_000 + g.next() % 20_000),
+            _ => {
+                l.pop_batch();
+            }
+        }
+        l.check();
+    }
+    l.finish();
+}
+
+#[test]
+fn batch_after_single_pops_takes_the_rest_of_the_cycle() {
+    // Single pops part-way through a cycle leave the rest of it in the
+    // queue's front deque, and same-cycle schedules meanwhile go behind
+    // it. A batch then hands out the rest, and the new events follow as
+    // a second batch for the same cycle.
+    let mut l = Lockstep::new();
+    for _ in 0..10 {
+        l.schedule_after(2);
+    }
+    assert_eq!(l.pop(), Some(Cycle(2)));
+    assert_eq!(l.pop(), Some(Cycle(2)));
+    l.check();
+    for _ in 0..3 {
+        l.schedule_after(0);
+    }
+    l.check();
+    assert_eq!(l.pop_batch(), Some(Cycle(2)));
+    assert_eq!(l.out.len(), 8);
+    l.check();
+    assert_eq!(l.pop(), Some(Cycle(2)));
+    l.check();
+    assert_eq!(l.pop_batch(), Some(Cycle(2)));
+    assert_eq!(l.out.len(), 2);
+    l.finish();
+}
+
+#[test]
+fn same_cycle_schedules_while_a_batch_is_out() {
+    // While `out` still holds a batch, handlers schedule into the cycle
+    // being dispatched (a follow-up batch) and just past it. The bucket
+    // they land in was emptied by the handoff and must take a pooled
+    // buffer, not the one the caller is still reading.
+    let mut g = Gen(0xd1ff_0103);
+    let mut l = Lockstep::new();
+    for _ in 0..64 {
+        l.schedule_after(g.next() % 8);
+    }
+    let mut rounds = 0;
+    while let Some(t) = l.pop_batch() {
+        let before = l.out.clone();
+        for f in &before {
+            if rounds < 4_000 && f.id() % 3 != 1 {
+                l.schedule_after(g.next() % 3);
+                rounds += 1;
+            }
+        }
+        assert_eq!(l.out, before, "scheduling disturbed the batch being read");
+        assert_eq!(l.q.now(), t);
+        l.check();
+    }
+    l.finish();
+}
+
+#[test]
+fn wraparound_with_recycled_buffers() {
+    // Deltas up to the ring length and their aliases walk the clock
+    // through many ring epochs, so buffers recycled in one epoch serve
+    // slots of the next, and overflow events are promoted into buckets
+    // that take pooled buffers.
+    let mut g = Gen(0xd1ff_0104);
+    let mut l = Lockstep::new();
+    let ring = l.q.ring_len() as u64;
+    for _ in 0..12_000 {
+        match g.next() % 8 {
+            0..=2 => l.schedule_after(g.next() % ring),
+            3 => {
+                let epochs = 1 + g.next() % 3;
+                l.schedule_after(epochs * ring + g.next() % 4);
+            }
+            4 => {
+                l.pop();
+            }
+            _ => {
+                l.pop_batch();
+            }
+        }
+        l.check();
+    }
+    assert!(
+        l.q.now().0 > 4 * ring,
+        "the clock must cross several epochs"
+    );
+    l.finish();
 }
