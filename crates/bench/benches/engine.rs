@@ -9,7 +9,11 @@
 //! * `bucket_wrap` — deltas that alias to already-visited ring slots, so
 //!   every pop crosses the ring seam;
 //! * `overflow_promotion` — events beyond the ring horizon that ride the
-//!   overflow heap and are promoted as the clock advances.
+//!   overflow heap and are promoted as the clock advances;
+//! * `far_tier` — a trace replay's shape: 135,611 far events pushed in
+//!   time order (the in-order run), and 1,000 pushed in reverse (the heap
+//!   fallback), with the simulator's 48-byte event size on the default
+//!   ring, drained by `pop_batch`.
 //!
 //! The CI perf gate does not consume these numbers (it gates on the
 //! quick-suite sim rate, see `engine_gate` in the bench crate); they are
@@ -95,11 +99,45 @@ fn overflow_promotion(c: &mut Criterion) {
     });
 }
 
+/// A payload the size of the simulator's `Event`.
+type Fat = [u64; 6];
+
+/// Requests of `replay-spill`'s recorded stream, and their mean spacing
+/// in cycles.
+const REPLAY_REQUESTS: u64 = 135_611;
+const REPLAY_GAP: u64 = 70;
+
+/// Schedules one `Fat` event at each cycle of `cycles` on a default ring
+/// and drains the queue by batches, returning the events delivered.
+fn load_and_drain(cycles: impl Iterator<Item = u64>) -> usize {
+    let mut q: EventQueue<Fat> = EventQueue::new();
+    for t in cycles {
+        q.schedule(Cycle(t), [t; 6]);
+    }
+    let mut batch = Vec::new();
+    let mut delivered = 0;
+    while q.pop_batch(&mut batch).is_some() {
+        delivered += batch.len();
+    }
+    delivered
+}
+
+fn far_tier(c: &mut Criterion) {
+    let ring = EventQueue::<Fat>::new().ring_len() as u64;
+    c.bench_function("engine_far_bulk_drain", |b| {
+        b.iter(|| load_and_drain((0..REPLAY_REQUESTS).map(|i| ring + i * REPLAY_GAP)));
+    });
+    c.bench_function("engine_far_reversed_1k", |b| {
+        b.iter(|| load_and_drain((0..1_000u64).rev().map(|i| ring + i * REPLAY_GAP)));
+    });
+}
+
 criterion_group!(
     benches,
     schedule_pop,
     same_cycle_batch_drain,
     bucket_wrap,
-    overflow_promotion
+    overflow_promotion,
+    far_tier
 );
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //!   reuse tracker, event queue, page table, workload generator);
 //! * `engine` — microbenchmarks of the calendar event queue's regimes
 //!   (ring fast path, same-cycle batch drain, wraparound, overflow
-//!   promotion).
+//!   promotion, and the far tier's in-order bulk load and heap fallback).
 //!
 //! The paper-scale experiment runs are produced by the `figures` binary of
 //! the `least-tlb` crate, not by Criterion (they take seconds to minutes

@@ -189,6 +189,27 @@ impl SystemConfig {
             .map_or(Topology::Flat, |fc| fc.topology)
     }
 
+    /// The policy combination this configuration asks for that the
+    /// simulator does not support, in words, if any. `System::new`
+    /// rejects such a configuration with
+    /// [`BuildError::UnsupportedPolicy`].
+    #[must_use]
+    pub(crate) fn unsupported_policy(&self) -> Option<String> {
+        let p = &self.policy;
+        if p.infinite_iommu && p.tracker.is_some() {
+            Some("the infinite IOMMU TLB with a tracker (the limit study models the baseline hierarchy)".into())
+        } else if p.probing_ring && p.tracker.is_some() {
+            Some("ring probing with a tracker (two peer-sharing schemes at once)".into())
+        } else if p.probing_ring && self.topology() != Topology::Flat {
+            Some(format!(
+                "ring probing over the {} topology (probing is modelled over the flat topology only)",
+                self.topology()
+            ))
+        } else {
+            None
+        }
+    }
+
     /// The IOMMU TLB capacity under the current policy (`usize::MAX` when
     /// the infinite-IOMMU study policy is active).
     #[must_use]
@@ -280,6 +301,14 @@ pub enum BuildError {
     },
     /// Physical memory cannot hold the combined footprints.
     OutOfPhysicalMemory,
+    /// The policy combines features the simulator does not model
+    /// together, and the sim-check oracle does not check: the infinite
+    /// IOMMU TLB or ring probing with a tracker, or ring probing over a
+    /// multi-hop topology.
+    UnsupportedPolicy {
+        /// The offending combination, in words.
+        combination: String,
+    },
     /// A replayed trace request names a GPU or ASID the system lacks.
     TraceRequestOutOfRange {
         /// 0-based index of the request in the trace.
@@ -308,6 +337,9 @@ impl fmt::Display for BuildError {
             ),
             BuildError::OutOfPhysicalMemory => {
                 write!(f, "physical memory too small for the combined footprints")
+            }
+            BuildError::UnsupportedPolicy { combination } => {
+                write!(f, "unsupported policy combination: {combination}")
             }
             BuildError::TraceRequestOutOfRange { request, gpu, asid } => write!(
                 f,

@@ -50,10 +50,13 @@ pub struct Policy {
     /// Spill counter `N`: how many times a translation may re-circulate
     /// through the hierarchy (§4.2; the paper picks 1).
     pub spill_credits: u8,
-    /// Model an infinite IOMMU TLB (Fig. 3's limit study).
+    /// Model an infinite IOMMU TLB (Fig. 3's limit study). Mutually
+    /// exclusive with `tracker`.
     pub infinite_iommu: bool,
     /// Valkyrie-style ring probing of neighbour L2 TLBs before the IOMMU
-    /// (§5.5 comparison). Mutually exclusive with `tracker`.
+    /// (§5.5 comparison). Mutually exclusive with `tracker`, and modelled
+    /// over the flat topology only: [`System::new`] rejects both other
+    /// combinations.
     pub probing_ring: bool,
     /// Per-GPU local page tables; only faults reach the IOMMU (§5.3).
     pub local_page_tables: bool,
@@ -454,9 +457,15 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] when the spec does not fit the
-    /// configuration (GPU range, lane slots, physical memory).
+    /// Returns a [`BuildError`] when the policy combines features the
+    /// simulator does not support (the infinite IOMMU TLB or ring probing
+    /// with a tracker, or ring probing over a multi-hop topology), or when
+    /// the spec does not fit the configuration (GPU range, lane slots,
+    /// physical memory).
     pub fn new(cfg: &SystemConfig, spec: &WorkloadSpec) -> Result<Self, BuildError> {
+        if let Some(combination) = cfg.unsupported_policy() {
+            return Err(BuildError::UnsupportedPolicy { combination });
+        }
         if spec.placements.is_empty() {
             return Err(BuildError::EmptyWorkload);
         }

@@ -1,7 +1,8 @@
-//! `simulate` rejects bad trace input, and `simulate` and `figures` reject
-//! output paths they cannot write, with exit code 2 and a message naming
-//! the file and the cause, never with a panic. Output paths are checked
-//! before the run, so these cases cost no simulation.
+//! `simulate` rejects bad trace input and unsupported policy
+//! combinations, and `simulate` and `figures` reject output paths they
+//! cannot write, with exit code 2 and a message naming the file, flag or
+//! combination and the cause, never with a panic. Output paths and the
+//! policy are checked before the run, so these cases cost no simulation.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -128,4 +129,42 @@ fn figures_output_in_missing_directory_exits_2() {
         assert_rejected(&out, &format!("{flag} {path}"));
         assert_rejected(&out, cause);
     }
+}
+
+#[test]
+fn ring_probing_over_a_multi_hop_topology_exits_2() {
+    for topology in ["ring", "mesh", "switch"] {
+        let out = simulate(&[
+            "--quick",
+            "--workload",
+            "ST",
+            "--policy",
+            "probing",
+            "--topology",
+            topology,
+        ]);
+        assert_rejected(&out, "unsupported policy combination");
+        assert_rejected(&out, &format!("ring probing over the {topology} topology"));
+    }
+}
+
+#[test]
+fn replay_under_ring_probing_over_a_mesh_exits_2() {
+    // The replay path builds its system through the same check.
+    let path = scratch("probing-mesh-trace.jsonl");
+    let p = path.to_str().expect("utf-8 path");
+    let header = r#"{"placements":[{"app":"St","gpus":[0,1,2,3]}],"name":"ST"}"#;
+    let line = r#"{"cycle":27,"gpu":1,"asid":0,"vpn":5}"#;
+    std::fs::write(&path, format!("{header}\n{line}\n")).expect("trace written");
+    let out = simulate(&[
+        "--quick",
+        "--policy",
+        "probing",
+        "--topology",
+        "mesh",
+        "--replay-trace",
+        p,
+    ]);
+    assert_rejected(&out, p);
+    assert_rejected(&out, "ring probing over the mesh topology");
 }

@@ -1,6 +1,6 @@
 //! Miss-status holding registers for the per-GPU L2 TLB.
 
-use mgpu_types::{CuId, DetMap, TranslationKey, WavefrontId};
+use mgpu_types::{CuId, KeyTable, TranslationKey, WavefrontId};
 
 /// A wavefront waiting on an outstanding translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrTable {
-    pending: DetMap<TranslationKey, Vec<Waiter>>,
+    pending: KeyTable<Vec<Waiter>>,
     capacity: usize,
     peak: usize,
     merges: u64,
@@ -60,7 +60,7 @@ impl MshrTable {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         MshrTable {
-            pending: DetMap::new(),
+            pending: KeyTable::new(),
             capacity,
             peak: 0,
             merges: 0,
@@ -70,26 +70,26 @@ impl MshrTable {
     /// Whether a new primary miss can currently be accepted.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.pending.len() >= self.capacity
+        self.pending.held() >= self.capacity
     }
 
     /// Whether a fill for `key` is outstanding.
     #[must_use]
     pub fn is_pending(&self, key: TranslationKey) -> bool {
-        self.pending.contains_key(&key)
+        self.pending.holds(key)
     }
 
     /// Registers `waiter` as waiting on `key`.
     pub fn register(&mut self, key: TranslationKey, waiter: Waiter) -> MshrOutcome {
-        let outcome = if let Some(waiters) = self.pending.get_mut(&key) {
+        let outcome = if let Some(waiters) = self.pending.value_for_mut(key) {
             waiters.push(waiter);
             self.merges += 1;
             MshrOutcome::Secondary
         } else {
-            self.pending.insert(key, vec![waiter]);
+            self.pending.bind(key, vec![waiter]);
             MshrOutcome::Primary
         };
-        self.peak = self.peak.max(self.pending.len());
+        self.peak = self.peak.max(self.pending.held());
         outcome
     }
 
@@ -97,13 +97,13 @@ impl MshrTable {
     /// no miss was outstanding — e.g. a duplicate response discarded by the
     /// IOMMU's pending-request table).
     pub fn drain(&mut self, key: TranslationKey) -> Vec<Waiter> {
-        self.pending.remove(&key).unwrap_or_default()
+        self.pending.unbind(key).unwrap_or_default()
     }
 
     /// Number of distinct outstanding keys.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.pending.len()
+        self.pending.held()
     }
 
     /// Highest number of simultaneously outstanding keys observed.

@@ -13,7 +13,7 @@
 //! re-armed for a fresh walk, and any straggler responder from the previous
 //! generation is allowed to serve the new waiters early.
 
-use mgpu_types::{DetMap, GpuId, TranslationKey};
+use mgpu_types::{GpuId, KeyTable, TranslationKey};
 
 /// Result of registering a request in the pending table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl PendingEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PendingTable {
-    entries: DetMap<TranslationKey, PendingEntry>,
+    entries: KeyTable<PendingEntry>,
 }
 
 impl PendingTable {
@@ -71,26 +71,26 @@ impl PendingTable {
     /// Number of entries (live and tombstone).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.held()
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.held() == 0
     }
 
     /// Whether `key` has a *live* (not yet served) entry that new
     /// requesters may merge onto.
     #[must_use]
     pub fn is_live(&self, key: TranslationKey) -> bool {
-        self.entries.get(&key).is_some_and(|e| !e.served)
+        self.entries.value_for(key).is_some_and(|e| !e.served)
     }
 
     /// Registers `requester` as waiting on `key`: merges onto a live
     /// entry, or creates/re-arms one (the caller must then launch a walk).
     pub fn register(&mut self, key: TranslationKey, requester: GpuId) -> PendingOutcome {
-        match self.entries.get_mut(&key) {
+        match self.entries.value_for_mut(key) {
             Some(e) if !e.served => {
                 if !e.waiters.contains(&requester) {
                     e.waiters.push(requester);
@@ -107,7 +107,7 @@ impl PendingTable {
                 PendingOutcome::Launched
             }
             None => {
-                self.entries.insert(
+                self.entries.bind(
                     key,
                     PendingEntry {
                         waiters: vec![requester],
@@ -130,7 +130,7 @@ impl PendingTable {
     /// requests.
     pub fn mark_walk(&mut self, key: TranslationKey) {
         self.entries
-            .get_mut(&key)
+            .value_for_mut(key)
             // sim-lint: allow(panic-reach, reason = "documented API contract: walks are only launched for registered requests")
             .expect("walk launched without a pending entry")
             .walks += 1;
@@ -143,7 +143,7 @@ impl PendingTable {
     /// Panics if no entry exists.
     pub fn mark_probe(&mut self, key: TranslationKey) {
         self.entries
-            .get_mut(&key)
+            .value_for_mut(key)
             // sim-lint: allow(panic-reach, reason = "documented API contract: probes are only launched for registered requests")
             .expect("probe launched without a pending entry")
             .probes += 1;
@@ -153,7 +153,7 @@ impl PendingTable {
     /// response wins the race, or `None` if the entry was already served
     /// (duplicate discarded, paper §4.1).
     pub fn walk_result(&mut self, key: TranslationKey) -> Option<Vec<GpuId>> {
-        let e = self.entries.get_mut(&key)?;
+        let e = self.entries.value_for_mut(key)?;
         if cfg!(any(debug_assertions, feature = "check")) {
             assert!(e.walks > 0, "walk completion without outstanding walk");
         }
@@ -166,7 +166,7 @@ impl PendingTable {
             None
         };
         if e.finished() {
-            self.entries.remove(&key);
+            self.entries.unbind(key);
         }
         waiters
     }
@@ -174,10 +174,10 @@ impl PendingTable {
     /// The queued (never-started) walk for `key` was cancelled because the
     /// probe won the race while the walk sat in the walker backlog.
     pub fn cancel_walk(&mut self, key: TranslationKey) {
-        if let Some(e) = self.entries.get_mut(&key) {
+        if let Some(e) = self.entries.value_for_mut(key) {
             e.walks = e.walks.saturating_sub(1);
             if e.finished() {
-                self.entries.remove(&key);
+                self.entries.unbind(key);
             }
         }
     }
@@ -185,7 +185,7 @@ impl PendingTable {
     /// A remote probe returns. Returns the waiters to serve if the probe
     /// hit and wins the race; `None` on a miss or a lost race.
     pub fn probe_result(&mut self, key: TranslationKey, hit: bool) -> Option<Vec<GpuId>> {
-        let e = self.entries.get_mut(&key)?;
+        let e = self.entries.value_for_mut(key)?;
         if cfg!(any(debug_assertions, feature = "check")) {
             assert!(e.probes > 0, "probe completion without outstanding probe");
         }
@@ -198,7 +198,7 @@ impl PendingTable {
             None
         };
         if e.finished() {
-            self.entries.remove(&key);
+            self.entries.unbind(key);
         }
         waiters
     }

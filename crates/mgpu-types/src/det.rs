@@ -5,9 +5,23 @@
 //! walks such a container — directly, via `Debug`, or through
 //! serialization — silently breaks the bit-reproducibility guarantee the
 //! experiment harness is built on (identical output across `--jobs` values
-//! and across processes). [`DetMap`] and [`DetSet`] wrap the B-tree
-//! containers instead: key-ordered iteration, no hasher, no seed. The
-//! `sim-lint` tool enforces their use across every simulation-state crate.
+//! and across processes). The `sim-lint` tool enforces the replacements
+//! below across every simulation-state crate.
+//!
+//! Two replacements, with two determinism arguments:
+//!
+//! - [`DetMap`] and [`DetSet`] wrap the B-tree containers: key-ordered
+//!   iteration, no hasher, no seed. Use them for every map or set that is
+//!   iterated, serialized or printed.
+//! - [`KeyTable`] maps a [`TranslationKey`] to a value through a flat,
+//!   open-addressed slot array under a fixed multiplicative hash. Its slot
+//!   order depends on the insertion and removal history, so it offers no
+//!   way to observe it: no `iter`, `keys` or `values`, and its `Debug`
+//!   prints only the entry count. Slot order therefore can never reach an
+//!   output. Use it for keyed lookup tables that are only ever probed by
+//!   key, such as the in-flight request tables on the translation path,
+//!   where a B-tree's node walks and allocations cost more than the
+//!   lookup itself.
 //!
 //! The wrappers expose only the API surface the simulator uses; extend
 //! them here rather than falling back to the std hash types.
@@ -26,8 +40,11 @@
 //! ```
 
 use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
+use std::{fmt, mem};
 
 use serde::{Deserialize, Error, Serialize, Value};
+
+use crate::TranslationKey;
 
 /// A deterministic map: [`BTreeMap`] with the std-map API subset the
 /// simulator uses. Iteration order is the key order, which makes every
@@ -77,11 +94,6 @@ impl<K: Ord, V> DetMap<K, V> {
     /// Removes and returns the value stored under `key`, if any.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         self.inner.remove(key)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.inner.contains_key(key)
     }
 
     /// In-place entry API (delegates to [`BTreeMap::entry`]).
@@ -288,6 +300,189 @@ impl<T: Deserialize + Ord> Deserialize for DetSet<T> {
     }
 }
 
+/// Multiplier of [`KeyTable`]'s hash: 2^64 divided by the golden ratio,
+/// made odd (Fibonacci hashing).
+const FIB: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Slots a [`KeyTable`] allocates on its first insert.
+const MIN_SLOTS: usize = 8;
+
+/// A flat, open-addressed map from [`TranslationKey`] to `V` for lookup
+/// tables that are only ever probed by key.
+///
+/// All entries live inline in one slot array whose length is a power of
+/// two. A key's home slot is the top bits of a fixed multiplicative hash
+/// of its ASID and VPN, and collisions probe linearly to the next slot.
+/// The array doubles before an insert would fill more than half of it, so
+/// every probe chain ends at an empty slot. Removal shifts later entries
+/// of the chain back into the hole instead of leaving a tombstone, so
+/// chains stay as short as the live entries make them. An empty table
+/// owns no memory.
+///
+/// There is deliberately no way to iterate the table, and its `Debug`
+/// prints only the entry count: slot order depends on the insertion and
+/// removal history, so it must never reach an output. The method names
+/// are not the std map names either, so the linter's name-based call
+/// graph cannot confuse them with the many `get`/`insert`/`len` call
+/// sites elsewhere.
+///
+/// # Examples
+///
+/// ```
+/// use mgpu_types::{Asid, KeyTable, TranslationKey, VirtPage};
+///
+/// let key = TranslationKey::new(Asid(1), VirtPage(42));
+/// let mut t: KeyTable<u32> = KeyTable::new();
+/// assert_eq!(t.bind(key, 7), None);
+/// assert_eq!(t.bind(key, 8), Some(7), "a rebind returns the old value");
+/// assert_eq!(t.value_for(key), Some(&8));
+/// assert_eq!(t.held(), 1);
+/// assert_eq!(t.unbind(key), Some(8));
+/// assert!(!t.holds(key));
+/// ```
+#[derive(Clone)]
+pub struct KeyTable<V> {
+    /// The slot array: empty (no allocation) or a power of two long.
+    slots: Vec<Option<(TranslationKey, V)>>,
+    /// Occupied slots.
+    held: usize,
+}
+
+impl<V> KeyTable<V> {
+    /// Creates an empty table. It allocates on the first insert.
+    #[must_use]
+    pub fn new() -> Self {
+        KeyTable {
+            slots: Vec::new(),
+            held: 0,
+        }
+    }
+
+    /// Number of entries.
+    #[must_use]
+    pub fn held(&self) -> usize {
+        self.held
+    }
+
+    /// Whether `key` has an entry.
+    #[must_use]
+    pub fn holds(&self, key: TranslationKey) -> bool {
+        self.slot_of(key).is_some()
+    }
+
+    /// The value stored under `key`, if any.
+    #[must_use]
+    pub fn value_for(&self, key: TranslationKey) -> Option<&V> {
+        let i = self.slot_of(key)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
+    }
+
+    /// Mutable access to the value stored under `key`, if any.
+    pub fn value_for_mut(&mut self, key: TranslationKey) -> Option<&mut V> {
+        let i = self.slot_of(key)?;
+        self.slots[i].as_mut().map(|(_, v)| v)
+    }
+
+    /// Stores `value` under `key`, returning the value it displaces if the
+    /// key already had one.
+    pub fn bind(&mut self, key: TranslationKey, value: V) -> Option<V> {
+        if let Some(i) = self.slot_of(key) {
+            return self.slots[i].as_mut().map(|(_, v)| mem::replace(v, value));
+        }
+        if (self.held + 1) * 2 > self.slots.len() {
+            self.widen();
+        }
+        let i = self.vacant_slot(key);
+        self.slots[i] = Some((key, value));
+        self.held += 1;
+        None
+    }
+
+    /// Removes and returns the value stored under `key`, if any. Later
+    /// entries of the key's probe chain shift back over the freed slot.
+    pub fn unbind(&mut self, key: TranslationKey) -> Option<V> {
+        let mut hole = self.slot_of(key)?;
+        let (_, value) = self.slots[hole].take()?;
+        self.held -= 1;
+        let mask = self.slots.len() - 1;
+        let mut j = (hole + 1) & mask;
+        while let Some((k, _)) = &self.slots[j] {
+            // The entry at `j` may fill the hole only if the hole lies on
+            // its probe path, between its home slot and `j`; moving it
+            // there keeps it reachable and closes the gap for the rest.
+            let home = self.home_slot(*k);
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[j].take();
+                hole = j;
+            }
+            j = (j + 1) & mask;
+        }
+        Some(value)
+    }
+
+    /// The home slot of `key`: the top `log2(slots)` bits of the product
+    /// of its ASID and VPN with [`FIB`]. Needs a non-empty slot array.
+    fn home_slot(&self, key: TranslationKey) -> usize {
+        let x = key.vpn.0 ^ (u64::from(key.asid.0) << 48);
+        (x.wrapping_mul(FIB) >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding `key`, if any.
+    fn slot_of(&self, key: TranslationKey) -> Option<usize> {
+        if self.held == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home_slot(key);
+        loop {
+            match &self.slots[i] {
+                Some((k, _)) if *k == key => return Some(i),
+                Some(_) => i = (i + 1) & mask,
+                None => return None,
+            }
+        }
+    }
+
+    /// The first empty slot of `key`'s probe chain. The caller has made
+    /// sure the key is absent and a slot is free.
+    fn vacant_slot(&self, key: TranslationKey) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home_slot(key);
+        while self.slots[i].is_some() {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Doubles the slot array (or allocates the first one) and re-homes
+    /// every entry.
+    fn widen(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+        let mut grown = Vec::with_capacity(len);
+        grown.resize_with(len, || None);
+        let old = mem::replace(&mut self.slots, grown);
+        for (key, value) in old.into_iter().flatten() {
+            let i = self.vacant_slot(key);
+            self.slots[i] = Some((key, value));
+        }
+    }
+}
+
+impl<V> Default for KeyTable<V> {
+    fn default() -> Self {
+        KeyTable::new()
+    }
+}
+
+/// Prints the entry count only: slot order must not reach any output.
+impl<V> fmt::Debug for KeyTable<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyTable")
+            .field("held", &self.held)
+            .finish_non_exhaustive()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,7 +510,6 @@ mod tests {
         assert_eq!(m.insert(1, "a"), None);
         assert_eq!(m.insert(1, "b"), Some("a"));
         assert_eq!(m.get(&1), Some(&"b"));
-        assert!(m.contains_key(&1));
         *m.entry(2).or_insert("z") = "c";
         m.entry(2).or_insert("y");
         assert_eq!(m.get(&2), Some(&"c"));
@@ -369,5 +563,166 @@ mod tests {
         let s: DetSet<u64> = [7, 2].into_iter().collect();
         let back = DetSet::<u64>::from_value(&s.to_value()).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// splitmix64, the recurrence the repo's other property suites use.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn tkey(asid: u16, vpn: u64) -> TranslationKey {
+        TranslationKey::new(crate::Asid(asid), crate::VirtPage(vpn))
+    }
+
+    /// A table with its first slot array allocated and no entries.
+    fn allocated() -> KeyTable<u32> {
+        let mut t = KeyTable::new();
+        t.widen();
+        t
+    }
+
+    /// The first `n` ASID-0 keys whose home slot in `t` is `slot`.
+    fn homed_at(t: &KeyTable<u32>, slot: usize, n: usize) -> Vec<TranslationKey> {
+        (0..)
+            .map(|v| tkey(0, v))
+            .filter(|&k| t.home_slot(k) == slot)
+            .take(n)
+            .collect()
+    }
+
+    /// The slot each key sits in, `None` for an absent key.
+    fn layout(t: &KeyTable<u32>, keys: &[TranslationKey]) -> Vec<Option<usize>> {
+        keys.iter().map(|&k| t.slot_of(k)).collect()
+    }
+
+    #[test]
+    fn key_table_matches_det_map_over_random_operations() {
+        // 3 ASIDs x 97 VPNs: at most 291 live keys, so the table stays
+        // small and collides often, and every operation hits a key that
+        // was recently bound, rebound or unbound.
+        let mut state = 0x6b65_7974_6162_6c65;
+        let mut t: KeyTable<u64> = KeyTable::new();
+        let mut m: DetMap<TranslationKey, u64> = DetMap::new();
+        let mut peak = 0;
+        for op in 0..120_000u64 {
+            let r = splitmix(&mut state);
+            let key = tkey((r % 3) as u16, (r >> 8) % 97);
+            // Phases of mostly-bind and mostly-unbind sweep the load
+            // from empty to full and back, through every growth step.
+            let bind_bias = if (op / 5_000) % 2 == 0 { 6 } else { 3 };
+            match (r >> 32) % 10 {
+                x if x < bind_bias => assert_eq!(t.bind(key, op), m.insert(key, op), "bind {key}"),
+                6..=7 => assert_eq!(t.unbind(key), m.remove(&key), "unbind {key}"),
+                8 => {
+                    let got = t.value_for_mut(key).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let want = m.get_mut(&key).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    assert_eq!(got, want, "value_for_mut {key}");
+                }
+                _ => {
+                    assert_eq!(t.value_for(key), m.get(&key), "value_for {key}");
+                    assert_eq!(t.holds(key), m.get(&key).is_some(), "holds {key}");
+                }
+            }
+            assert_eq!(t.held(), m.len(), "held after op {op}");
+            peak = peak.max(m.len());
+        }
+        assert!(peak > 200, "the key space was never nearly full: {peak}");
+        for (&k, v) in &m {
+            assert_eq!(t.value_for(k), Some(v), "{k} lost at the end");
+        }
+    }
+
+    #[test]
+    fn removal_inside_a_chain_that_wraps_past_the_last_slot() {
+        // Three keys homed at the last slot fill slots 7, 0 and 1; a key
+        // homed at slot 0 lands in 2, and one homed at 3 sits in its
+        // own home past the chain.
+        let mut t = allocated();
+        let last = t.slots.len() - 1;
+        let mut keys = homed_at(&t, last, 3);
+        keys.extend(homed_at(&t, 0, 1));
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(t.bind(k, i as u32), None);
+        }
+        assert_eq!(t.slots.len(), 8, "four entries fit the first array");
+        assert_eq!(layout(&t, &keys), [Some(7), Some(0), Some(1), Some(2)]);
+
+        // Unbinding the chain's second key (slot 0) shifts the third key
+        // back across the wrap-around seam's far side and the slot-0 key
+        // back into slot 1.
+        assert_eq!(t.unbind(keys[1]), Some(1));
+        assert_eq!(layout(&t, &keys), [Some(7), None, Some(0), Some(1)]);
+        // Unbinding the head (slot 7) pulls the rest back over the seam.
+        assert_eq!(t.unbind(keys[0]), Some(0));
+        assert_eq!(layout(&t, &keys), [None, None, Some(7), Some(0)]);
+        assert_eq!(t.value_for(keys[2]), Some(&2));
+        assert_eq!(t.value_for(keys[3]), Some(&3));
+        assert_eq!(t.held(), 2);
+    }
+
+    #[test]
+    fn removal_leaves_entries_already_at_home_in_place() {
+        // Slot 1's key is homed at 1: freeing slot 0 must not pull it
+        // back before its home, or a lookup from slot 1 would miss it.
+        let mut t = allocated();
+        let at_0 = homed_at(&t, 0, 2);
+        let keys = [at_0[0], homed_at(&t, 1, 1)[0], at_0[1]];
+        for (i, &k) in keys.iter().enumerate() {
+            t.bind(k, i as u32);
+        }
+        assert_eq!(layout(&t, &keys), [Some(0), Some(1), Some(2)]);
+        assert_eq!(t.unbind(keys[0]), Some(0));
+        assert_eq!(layout(&t, &keys), [None, Some(1), Some(0)]);
+        assert!(t.holds(keys[1]) && t.holds(keys[2]));
+    }
+
+    #[test]
+    fn growth_rehomes_every_entry_of_existing_chains() {
+        let mut t = allocated();
+        let mut keys = homed_at(&t, 5, 3);
+        keys.extend(homed_at(&t, 6, 1));
+        for (i, &k) in keys.iter().enumerate() {
+            t.bind(k, i as u32);
+        }
+        assert_eq!(t.slots.len(), 8);
+        // The fifth entry would fill more than half the array: it doubles
+        // first, and every chained entry must be found from its new home.
+        let extra: Vec<TranslationKey> = (1..=40).map(|v| tkey(2, v)).collect();
+        for (i, &k) in extra.iter().enumerate() {
+            t.bind(k, 100 + i as u32);
+        }
+        assert_eq!(t.slots.len(), 128, "44 entries need 128 slots at half load");
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(t.value_for(k), Some(&(i as u32)), "{k} lost in growth");
+        }
+        for (i, &k) in extra.iter().enumerate() {
+            assert_eq!(t.value_for(k), Some(&(100 + i as u32)));
+        }
+        assert_eq!(t.held(), 44);
+    }
+
+    #[test]
+    fn rebinding_after_unbind_starts_a_fresh_entry() {
+        let mut t: KeyTable<Vec<u8>> = KeyTable::new();
+        assert!(!t.holds(tkey(0, 1)), "an empty table holds nothing");
+        assert_eq!(t.unbind(tkey(0, 1)), None);
+        assert_eq!(t.slots.capacity(), 0, "an empty table owns no memory");
+        t.bind(tkey(0, 1), vec![1, 2]);
+        assert_eq!(t.unbind(tkey(0, 1)), Some(vec![1, 2]));
+        assert_eq!(t.unbind(tkey(0, 1)), None, "unbind is not idempotent");
+        assert_eq!(t.bind(tkey(0, 1), vec![3]), None, "no stale value survives");
+        assert_eq!(t.value_for(tkey(0, 1)), Some(&vec![3]));
+        assert_eq!(t.held(), 1);
+        assert_eq!(format!("{t:?}"), "KeyTable { held: 1, .. }");
     }
 }

@@ -23,7 +23,7 @@
 
 mod det;
 
-pub use det::{DetMap, DetSet};
+pub use det::{DetMap, DetSet, KeyTable};
 
 use std::fmt;
 

@@ -101,6 +101,10 @@ impl FuzzCase {
         if self.gpus < 2 {
             self.mode = 0;
         }
+        // `System::new` rejects both of these combinations, and ring
+        // probing over a multi-hop topology below, with
+        // `BuildError::UnsupportedPolicy`; dropping them keeps every case
+        // buildable.
         if self.infinite || self.ring {
             self.tracker = 0;
         }

@@ -231,8 +231,10 @@ impl Mirror {
     /// # Panics
     ///
     /// Panics on configurations the serial oracle does not model:
-    /// non-4 KB pages, demand faulting, or the combinations the simulator
-    /// itself forbids (`infinite_iommu` or `probing_ring` with a tracker).
+    /// non-4 KB pages, demand faulting, or the combinations `System::new`
+    /// itself rejects with `BuildError::UnsupportedPolicy`
+    /// (`infinite_iommu` or `probing_ring` with a tracker, and
+    /// `probing_ring` over a multi-hop topology).
     #[must_use]
     pub fn new(cfg: &SystemConfig, spec: &WorkloadSpec, bug: MirrorBug) -> Self {
         assert!(

@@ -16,8 +16,15 @@
 //!    probe-wins and fill-before-probe races occur — and, per the
 //!    Mirror's zero-load race model, chosen to avoid exact ties whose
 //!    resolution depends on multi-hop event insertion order.
+//!
+//! Ring probing is the one policy the oracle checks over the flat
+//! topology only, and the last test pins that `System::new` refuses it on
+//! a multi-hop fabric, so no such configuration runs unverified.
 
-use least_tlb::{FabricConfig, Policy, RunResult, System, SystemConfig, Topology, WorkloadSpec};
+use least_tlb::{
+    BuildError, FabricConfig, Policy, RunResult, System, SystemConfig, Topology, WorkloadSpec,
+};
+use sim_check::fuzz::generate;
 use sim_check::mirror::app_footprints;
 use sim_check::{run_serial, Access, Gen};
 use tlb::{ReplacementPolicy, TlbConfig};
@@ -170,4 +177,28 @@ fn oracle_green_on_multihop_topologies_with_contention() {
     assert!(totals.walks > 0, "sweep never walked");
     assert!(totals.remote_hits > 0, "sweep never hit remotely");
     assert!(totals.spills > 0, "sweep never spilled");
+}
+
+/// The fuzzer's sanitizer drops ring probing on ring, mesh and switch
+/// fabrics, because the oracle does not model it there. The case it
+/// would otherwise run, ring probing over a 2-D mesh, must be one the
+/// simulator itself refuses to build.
+#[test]
+fn unsanitized_ring_probing_over_a_mesh_is_rejected_at_build_time() {
+    let mut case = generate(&mut Gen::new(0x7269_6e67));
+    case.gpus = 4;
+    case.ring = true;
+    case.fabric_topology = 3;
+    let (mut cfg, spec) = case.to_config();
+    assert_eq!(cfg.topology(), Topology::Mesh2d);
+    assert!(!cfg.policy.probing_ring, "the sanitizer drops the ring");
+    cfg.policy.probing_ring = case.ring;
+    for built in [System::new(&cfg, &spec), System::new_scripted(&cfg, &spec)] {
+        match built.map(|_| ()) {
+            Err(BuildError::UnsupportedPolicy { combination }) => {
+                assert!(combination.contains("mesh"), "{combination}");
+            }
+            other => panic!("ring probing over a mesh was not rejected: {other:?}"),
+        }
+    }
 }

@@ -6,16 +6,19 @@
 //! server-pool helper used to model resources such as the IOMMU's eight
 //! shared page-table walkers.
 //!
-//! The queue is a two-tier calendar queue (per-cycle bucket ring + overflow
-//! heap, see [`EventQueue`]): the short-horizon common case — TLB, link and
+//! The queue is a two-tier calendar queue (per-cycle bucket ring + far
+//! tier, see [`EventQueue`]): the short-horizon common case — TLB, link and
 //! walk latencies are small constants — costs O(1) per event, and the
 //! batch API ([`EventQueue::pop_batch`]) hands a dispatch loop every event
 //! of a cycle in one operation, by moving the bucket's buffer rather than
 //! copying its events. Idle buckets own no memory: drained buffers wait in
 //! a LIFO spare pool for the next bucket to come alive, so the queue's
 //! memory follows its occupied buckets, not the ring length. Far-future
-//! events (fault batches, snapshot timers) ride the overflow heap and are
-//! promoted as the clock advances.
+//! events (fault batches, snapshot timers, a replayed trace's requests)
+//! wait in the far tier and are promoted as the clock advances. Far
+//! pushes that arrive in time order, as a trace replay's do, are appended
+//! to an in-order run in O(1); only earlier pushes pay for the overflow
+//! heap behind it.
 //!
 //! The queue is generic over the event payload so the system model (in the
 //! `least-tlb` crate) can define one flat event enum and keep dispatch in a

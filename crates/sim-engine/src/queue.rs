@@ -8,9 +8,24 @@
 //! common case is served by a ring of per-cycle buckets — schedule is a
 //! bucket append, pop is an indexed read, and a whole cycle's events drain
 //! in one call ([`pop_batch`](EventQueue::pop_batch)). Events scheduled at
-//! or beyond the ring horizon (fault handling, snapshots, deep resource
-//! backlogs) park in a small overflow [`BinaryHeap`] and are *promoted*
-//! into the ring as the clock advances.
+//! or beyond the ring horizon (fault handling, snapshots, a replayed
+//! trace's requests) park in the *far tier* and are *promoted* into the
+//! ring as the clock advances.
+//!
+//! # Far tier
+//!
+//! The far tier is two containers. A far push whose time is at or after
+//! the time of the last event in the *run*, a [`VecDeque`] kept in
+//! `(time, seq)` order, is appended to it in O(1). An earlier push goes
+//! to an overflow [`BinaryHeap`]. Promotion takes whichever of the run's
+//! front and the heap's top is earlier by `(time, seq)`, so far events
+//! reach their buckets in global `(time, seq)` order either way. A trace
+//! replay parks its whole request stream before the run starts, in time
+//! order, so every request rides the run and the heap stays empty. The
+//! heap stays as the fallback so that out-of-order pushes (a reversed
+//! trace, fault timers set behind a later one) cost O(log n) each rather
+//! than a sorted insert into the run. One count covers both containers,
+//! so an idle far tier costs one length check per clock advance.
 //!
 //! # Bucket storage
 //!
@@ -32,10 +47,10 @@
 //! were scheduled (FIFO), which — together with seeded RNGs everywhere
 //! else — makes whole-simulation runs bit-reproducible. Within a bucket
 //! the FIFO discipline is positional (append order == schedule order);
-//! the overflow heap keeps the explicit `seq` tie-break, and promotion
-//! preserves the global (time, seq) order because an overflow event at
-//! cycle `t` is promoted at the first clock advance that brings `t` inside
-//! the horizon — provably *before* any same-cycle event can be scheduled
+//! the far tier keeps the explicit `seq` tie-break, and promotion
+//! preserves the global (time, seq) order because a far event at cycle
+//! `t` is promoted at the first clock advance that brings `t` inside the
+//! horizon — provably *before* any same-cycle event can be scheduled
 //! directly into `t`'s bucket (see DESIGN.md §10 for the argument).
 //!
 //! # Examples
@@ -53,7 +68,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::mem;
 
 use mgpu_types::Cycle;
@@ -61,9 +76,9 @@ use mgpu_types::Cycle;
 /// Default calendar ring length in cycles (= number of buckets). Sized to
 /// cover every constant latency in the system model (L1/L2/IOMMU hops,
 /// 500-cycle walks, link traversals) plus the queueing backlog that
-/// accumulates on compute-unit issue ports and walker pools; only rare
-/// far-horizon events (20 k-cycle fault batches, snapshot timers) overflow
-/// into the heap tier.
+/// accumulates on compute-unit issue ports and walker pools; only
+/// far-horizon events (20 k-cycle fault batches, snapshot timers, replayed
+/// trace requests) go to the far tier.
 const DEFAULT_RING: usize = 4096;
 
 /// A deterministic discrete-event queue (two-tier calendar queue).
@@ -93,12 +108,18 @@ pub struct EventQueue<E> {
     /// Second-level bitmap: bit `w` set iff `occ[w] != 0`. Keeps the
     /// next-bucket scan O(1) word reads even when the ring is sparse.
     summary: Vec<u64>,
-    /// Far-future events: everything scheduled `>= ring` cycles ahead.
+    /// Far-future events that arrived in time order: every event
+    /// scheduled `>= ring` cycles ahead whose time is at or after the
+    /// run's last event. Sorted by `(time, seq)`.
+    run: VecDeque<Slot<E>>,
+    /// Far-future events that arrived earlier than the run's last event.
     overflow: BinaryHeap<Reverse<Slot<E>>>,
+    /// Events in `run` and `overflow` together.
+    far: usize,
     /// `buckets.len() - 1`; the ring length is a power of two.
     mask: u64,
     /// Events currently resident in the ring's buckets and in `front`
-    /// (not the overflow heap).
+    /// (not the far tier).
     in_buckets: usize,
     seq: u64,
     now: Cycle,
@@ -152,7 +173,9 @@ impl<E> EventQueue<E> {
             front: Vec::new(),
             occ: vec![0u64; ring / 64],
             summary: vec![0u64; (ring / 64).div_ceil(64)],
+            run: VecDeque::new(),
             overflow: BinaryHeap::new(),
+            far: 0,
             mask: (ring - 1) as u64,
             in_buckets: 0,
             seq: 0,
@@ -194,7 +217,7 @@ impl<E> EventQueue<E> {
     /// Number of events still pending.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.in_buckets + self.overflow.len()
+        self.in_buckets + self.far
     }
 
     /// Whether no events are pending.
@@ -204,19 +227,20 @@ impl<E> EventQueue<E> {
     }
 
     /// Ring length in cycles (bucket count). Events scheduled this many
-    /// cycles ahead or further go to the overflow heap until promoted.
+    /// cycles ahead or further go to the far tier until promoted.
     #[must_use]
     pub fn ring_len(&self) -> usize {
         self.buckets.len()
     }
 
-    /// Events currently parked in the overflow heap (far-future tier).
-    /// Telemetry/test accessor: on the paper workloads this stays near
-    /// zero — the calendar ring absorbs the entire short-horizon common
-    /// case.
+    /// Events currently parked in the far tier (the in-order run and the
+    /// overflow heap together). Telemetry/test accessor: a simulation
+    /// keeps this near zero, since the calendar ring absorbs the whole
+    /// short-horizon common case, but a trace replay parks its entire
+    /// request stream here before the run starts.
     #[must_use]
     pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.far
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -237,11 +261,11 @@ impl<E> EventQueue<E> {
         if at.0 - self.now.0 <= self.mask {
             self.enqueue((at.0 & self.mask) as usize, event);
         } else {
-            self.overflow.push(Reverse(Slot {
+            self.park(Slot {
                 time: at,
                 seq,
                 event,
-            }));
+            });
         }
         self.high_water = self.high_water.max(self.len());
     }
@@ -262,6 +286,35 @@ impl<E> EventQueue<E> {
     /// to this method and [`schedule_after`](Self::schedule_after).
     pub fn schedule_no_earlier(&mut self, at: Cycle, event: E) {
         self.schedule(at.max(self.now), event);
+    }
+
+    /// Parks a far-future event: at the back of the run if it is not
+    /// earlier than the run's last event, in the overflow heap otherwise.
+    /// `seq` only grows, so a time at or after the back's keeps the run
+    /// sorted by `(time, seq)`.
+    ///
+    /// Kept out of line: inlined into `schedule`, which every event
+    /// passes through, it slowed the engine bench's same-cycle drains by
+    /// about 3 ns per event. A simulation parks few events, and a replay
+    /// parks its requests before its run starts.
+    #[inline(never)]
+    fn park(&mut self, slot: Slot<E>) {
+        if self.run.back().is_none_or(|last| slot.time >= last.time) {
+            self.run.push_back(slot);
+        } else {
+            self.overflow.push(Reverse(slot));
+        }
+        self.far += 1;
+    }
+
+    /// The far tier's earliest event by `(time, seq)`, and whether it is
+    /// the run's front (rather than the heap's top).
+    fn far_head(&self) -> Option<(&Slot<E>, bool)> {
+        match (self.run.front(), self.overflow.peek()) {
+            (Some(r), Some(Reverse(h))) if h < r => Some((h, false)),
+            (Some(r), _) => Some((r, true)),
+            (None, h) => h.map(|Reverse(h)| (h, false)),
+        }
     }
 
     /// Appends `event` to the bucket at `slot`. An idle bucket first
@@ -374,32 +427,42 @@ impl<E> EventQueue<E> {
         self.now.0 + offset
     }
 
-    /// Moves every overflow event whose time has come inside the ring
-    /// horizon into its bucket. Called on every clock advance, which is
-    /// what guarantees promoted events land *ahead* of any later direct
-    /// schedule at the same cycle (FIFO preserved; see module docs).
+    /// Moves every far event whose time has come inside the ring horizon
+    /// into its bucket, in `(time, seq)` order across the run and the
+    /// heap. Called on every clock advance, which is what guarantees
+    /// promoted events land *ahead* of any later direct schedule at the
+    /// same cycle (FIFO preserved; see module docs).
     fn promote(&mut self) {
-        while let Some(Reverse(top)) = self.overflow.peek() {
-            if top.time.0 - self.now.0 > self.mask {
+        if self.far == 0 {
+            return;
+        }
+        while let Some((head, from_run)) = self.far_head() {
+            if head.time.0 - self.now.0 > self.mask {
                 break;
             }
-            let Some(Reverse(slot)) = self.overflow.pop() else {
+            let slot = if from_run {
+                self.run.pop_front()
+            } else {
+                self.overflow.pop().map(|Reverse(s)| s)
+            };
+            let Some(slot) = slot else {
                 break;
             };
+            self.far -= 1;
             self.enqueue((slot.time.0 & self.mask) as usize, slot.event);
         }
     }
 
     /// The cycle the next pop will deliver from, without mutating. If any
-    /// bucket is occupied it beats the overflow heap: ring events are
-    /// strictly nearer than the horizon, heap events at or beyond it.
+    /// bucket is occupied it beats the far tier: ring events are strictly
+    /// nearer than the horizon, far events at or beyond it.
     fn next_cycle(&self) -> Option<u64> {
         self.next_bucket_cycle()
-            .or_else(|| self.overflow.peek().map(|Reverse(s)| s.time.0))
+            .or_else(|| self.far_head().map(|(s, _)| s.time.0))
     }
 
-    /// Advances the clock to the next pending cycle, promotes the
-    /// overflow events that entered the horizon, and takes that cycle's
+    /// Advances the clock to the next pending cycle, promotes the far
+    /// events that entered the horizon, and takes that cycle's
     /// bucket whole, leaving the slot idle. `None` when nothing is
     /// pending.
     #[inline]
@@ -519,9 +582,11 @@ impl<E> EventQueue<E> {
     /// occupancy bitmap matches bucket emptiness, the resident count
     /// matches bucket and front contents, every idle bucket (and an idle
     /// front) owns no allocation, every pooled buffer is empty, the
-    /// queue never holds more buffers than the high-water mark, and
-    /// every overflow event lies at or beyond the ring horizon. Compiled
-    /// to a no-op unless debug assertions or the `check` feature are on;
+    /// queue never holds more buffers than the high-water mark, the far
+    /// count matches the run and the heap, the run is sorted by
+    /// `(time, seq)`, and every far event lies at or beyond the ring
+    /// horizon. Compiled to a no-op unless debug assertions or the
+    /// `check` feature are on;
     /// `System::check_invariants` calls it, so the sim-check oracle runs
     /// it after every scripted step.
     ///
@@ -560,7 +625,11 @@ impl<E> EventQueue<E> {
         resident += self.front.len();
         occupied += usize::from(!self.front.is_empty());
         // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
-        assert_eq!(resident, self.in_buckets, "ring resident count drifted");
+        assert_eq!(
+            (resident, self.run.len() + self.overflow.len()),
+            (self.in_buckets, self.far),
+            "resident counts (ring, far tier) drifted"
+        );
         // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
         assert!(
             self.spare.iter().all(Vec::is_empty),
@@ -586,12 +655,19 @@ impl<E> EventQueue<E> {
                 "summary bit {w} disagrees with occupancy word"
             );
         }
-        for Reverse(s) in &self.overflow {
+        // Each run event with the one before it, then each heap event
+        // alone: the run must be sorted, and the whole tier beyond the
+        // horizon.
+        let before = std::iter::once(None).chain(self.run.iter().map(Some));
+        let run = self.run.iter().zip(before);
+        let heap = self.overflow.iter().map(|Reverse(s)| (s, None));
+        for (s, prev) in run.chain(heap) {
             // sim-lint: allow(hygiene, reason = "whole fn is check-gated by the early return above; these must fire under --features check")
             assert!(
-                s.time.0 - self.now.0 > self.mask,
-                "overflow event {} is inside the ring horizon (now={})",
+                s.time.0 - self.now.0 > self.mask && prev.is_none_or(|p| p < s),
+                "far event {}#{} is inside the ring horizon (now={}) or not after the run event before it",
                 s.time,
+                s.seq,
                 self.now
             );
         }

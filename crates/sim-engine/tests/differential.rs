@@ -10,12 +10,18 @@
 //! same-cycle FIFO bursts, far-future outliers that ride the overflow
 //! heap, `schedule_no_earlier` clamps, and ring wraparound.
 //!
-//! The last group runs the default 4096-slot ring with a 48-byte payload,
-//! the size of the simulator's `Event`, and checks the bucket storage
-//! itself after every step: buffers drained by `pop` and `pop_batch`
-//! are pooled empty and recycled into later buckets, idle buckets own no
-//! memory, a batch after single pops hands out the rest of the cycle,
-//! and no payload is torn or duplicated on the way.
+//! The last groups run a 48-byte payload, the size of the simulator's
+//! `Event`, and check the queue's structure after every step. On the
+//! default 4096-slot ring they check the bucket storage: buffers drained
+//! by `pop` and `pop_batch` are pooled empty and recycled into later
+//! buckets, idle buckets own no memory, a batch after single pops hands
+//! out the rest of the cycle, and no payload is torn or duplicated on the
+//! way. On the 64-slot and default rings they check the far tier: a bulk
+//! in-order load (a trace replay's shape) rides the in-order run,
+//! reversed pushes ride the overflow heap, equal times split across both
+//! containers promote in `(time, seq)` order ahead of direct schedules
+//! into the same cycles, and far pushes made while a batch is out land
+//! in order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -341,8 +347,12 @@ struct Lockstep {
 
 impl Lockstep {
     fn new() -> Self {
+        Self::with_queue(EventQueue::new())
+    }
+
+    fn with_queue(q: EventQueue<Fat>) -> Self {
         Lockstep {
-            q: EventQueue::new(),
+            q,
             r: RefQueue::new(),
             out: Vec::new(),
             next_id: 0,
@@ -354,6 +364,13 @@ impl Lockstep {
         self.next_id += 1;
         self.q.schedule_after(delta, Fat::new(id));
         self.r.schedule_after(delta, id);
+    }
+
+    fn schedule_at(&mut self, at: u64) {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.q.schedule(Cycle(at), Fat::new(id));
+        self.r.schedule(at, id);
     }
 
     fn pop(&mut self) -> Option<Cycle> {
@@ -550,4 +567,148 @@ fn wraparound_with_recycled_buffers() {
         "the clock must cross several epochs"
     );
     l.finish();
+}
+
+/// The two ring lengths the far-tier tests run on: the smallest, where
+/// almost everything is far, and the simulator's default.
+fn far_tier_rings() -> [usize; 2] {
+    [64, EventQueue::<Fat>::new().ring_len()]
+}
+
+#[test]
+fn bulk_in_order_far_load_drains_in_order() {
+    // A trace replay's shape: every request parked before the run, in
+    // time order, pairs sharing a cycle, spanning many ring lengths.
+    // Delivered events set off short-horizon follow-ups, which land in
+    // the buckets the far tier is being promoted into.
+    for ring in far_tier_rings() {
+        let mut l = Lockstep::with_queue(EventQueue::with_ring(ring));
+        let ring = ring as u64;
+        let n = 12_000u64;
+        for i in 0..n {
+            l.schedule_at(ring + i / 2 * 5);
+            if i % 1_000 == 0 {
+                l.check();
+            }
+        }
+        assert_eq!(l.q.overflow_len(), n as usize, "all of the load is far");
+        assert!(n / 2 * 5 > 7 * ring, "the load spans several rings");
+        let mut g = Gen(0xd1ff_0201 ^ ring);
+        let mut steps = 0u64;
+        while l.pop_batch().is_some() {
+            if g.next().is_multiple_of(4) {
+                l.schedule_after(g.next() % 40);
+            }
+            steps += 1;
+            if steps.is_multiple_of(1_000) {
+                l.check();
+            }
+        }
+        l.finish();
+    }
+}
+
+#[test]
+fn reversed_far_pushes_drain_in_order() {
+    // The latest push first: after the first, every far push is earlier
+    // than the last one kept in order, so the load falls back to the
+    // heap. Same-cycle pushes still come out in schedule order.
+    for ring in far_tier_rings() {
+        let mut l = Lockstep::with_queue(EventQueue::with_ring(ring));
+        let ring = ring as u64;
+        let n = 2_000u64;
+        for i in 0..n {
+            l.schedule_at(ring + (n - i) / 2 * 7);
+            l.check();
+        }
+        assert_eq!(l.q.overflow_len(), n as usize);
+        let mut g = Gen(0xd1ff_0202 ^ ring);
+        loop {
+            let popped = if g.next().is_multiple_of(2) {
+                l.pop()
+            } else {
+                l.pop_batch()
+            };
+            l.check();
+            if popped.is_none() {
+                break;
+            }
+        }
+        l.finish();
+    }
+}
+
+#[test]
+fn equal_times_split_between_run_and_heap() {
+    for ring in far_tier_rings() {
+        let mut l = Lockstep::with_queue(EventQueue::with_ring(ring));
+        let ring = ring as u64;
+        let t = 3 * ring;
+        // In order: run. Earlier than the run's last event: heap. Cycle
+        // `t` ends up with two events in each container, and the run's
+        // come first by `seq`.
+        for at in [t, t, t + 10, t, t + 5, t + 10, t, t + 20] {
+            l.schedule_at(at);
+            l.check();
+        }
+        // A stepping stone whose pop brings `t`, but not `t + 5`, inside
+        // the horizon.
+        l.schedule_at(t - ring + 1);
+        assert_eq!(l.q.overflow_len(), 9);
+        assert_eq!(l.pop(), Some(Cycle(t - ring + 1)));
+        l.check();
+        assert_eq!(l.q.overflow_len(), 4, "cycle t was promoted");
+        // Direct schedules into the promoted cycle go behind its promoted
+        // events; far pushes meanwhile join both containers.
+        for at in [t, t, t + 5, t + 30, t] {
+            l.schedule_at(at);
+            l.check();
+        }
+        assert_eq!(l.pop_batch(), Some(Cycle(t)));
+        assert_eq!(l.out.len(), 7, "four promoted and three direct");
+        l.check();
+        for at in [t + 5, t + 10, t + 10] {
+            l.schedule_at(at);
+            l.check();
+        }
+        while l.pop_batch().is_some() {
+            l.check();
+        }
+        l.finish();
+    }
+}
+
+#[test]
+fn far_pushes_while_a_batch_is_out() {
+    // Handlers dispatching a batch park far follow-ups at random
+    // horizons, some after and some before the last far event, next to
+    // short-horizon ones. The batch being read must not move, and every
+    // event must come out where the reference puts it.
+    for ring in far_tier_rings() {
+        let mut l = Lockstep::with_queue(EventQueue::with_ring(ring));
+        let ring = ring as u64;
+        let mut g = Gen(0xd1ff_0204 ^ ring);
+        for _ in 0..32 {
+            l.schedule_after(g.next() % 8);
+        }
+        let mut scheduled = 0;
+        while let Some(t) = l.pop_batch() {
+            let before = l.out.clone();
+            for _ in &before {
+                if scheduled >= 4_000 {
+                    break;
+                }
+                match g.next() % 4 {
+                    0 => l.schedule_after(g.next() % 16),
+                    _ => l.schedule_after(ring + g.next() % (3 * ring)),
+                }
+                scheduled += 1;
+            }
+            assert_eq!(l.out, before, "scheduling disturbed the batch being read");
+            assert_eq!(l.q.now(), t);
+            l.check();
+        }
+        assert_eq!(scheduled, 4_000, "the traffic ran its course");
+        l.finish();
+    }
 }

@@ -297,6 +297,49 @@ fn build_errors_are_reported() {
 }
 
 #[test]
+fn unsupported_policy_combinations_are_rejected() {
+    use least_tlb::BuildError;
+    let spec = WorkloadSpec::single_app(AppKind::Pr, 4);
+    let rejected = |policy: Policy, needle: &str| {
+        let mut cfg = quick_cfg();
+        cfg.policy = policy;
+        let err = System::new(&cfg, &spec).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, BuildError::UnsupportedPolicy { .. }),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains(needle), "no '{needle}' in: {msg}");
+        // Scripted systems (trace replay) go through the same check.
+        assert!(System::new_scripted(&cfg, &spec).is_err());
+    };
+    let tracker = Policy::least_tlb().tracker;
+    rejected(
+        Policy {
+            tracker,
+            ..Policy::infinite_iommu()
+        },
+        "infinite IOMMU TLB with a tracker",
+    );
+    rejected(
+        Policy {
+            tracker,
+            ..Policy::probing_ring()
+        },
+        "ring probing with a tracker",
+    );
+    // Each scheme alone still builds, and so does probing over an
+    // explicit flat fabric.
+    let mut cfg = quick_cfg();
+    for policy in [Policy::infinite_iommu(), Policy::probing_ring()] {
+        cfg.policy = policy;
+        assert!(System::new(&cfg, &spec).is_ok());
+    }
+    cfg.fabric = Some(least_tlb::FabricConfig::new(least_tlb::Topology::Flat));
+    assert!(System::new(&cfg, &spec).is_ok());
+}
+
+#[test]
 fn spill_bit_limits_recirculation() {
     // With N=1, spilled entries must not bounce back: the chain counter
     // stays well below the spill count.
